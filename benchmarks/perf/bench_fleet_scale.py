@@ -7,7 +7,8 @@ Appends a ``fleet`` section to the ``BENCH_sim.json`` run entry:
   cell counts by evaluator, and the per-tenant SLO-attainment and MRM
   endurance-burn tables the acceptance criteria ask for.  The non-tiny
   run asserts the ≥1M simulated users/day floor across ≥4 clusters and
-  ≥3 tenants.
+  ≥3 tenants, and gates ``wall_s_per_sim_hour`` at 20% over the best
+  committed run with the same ``tiny`` flag and CPU count.
 - ``modes`` — analytic-vs-DES wall-clock on a fleet small enough that
   both evaluators are supported, with an exact result-count
   cross-check (the analytic arm must serve the same requests).
@@ -19,14 +20,39 @@ Set ``REPRO_PERF_TINY=1`` for the CI smoke variant: same code paths and
 assertions except the absolute-scale floor.
 """
 
+import json
 import os
 import time
+from pathlib import Path
 
 from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.experiment import e13_config
 from repro.obs import canonical_json
 
 TINY = os.environ.get("REPRO_PERF_TINY") == "1"
+
+BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_sim.json"
+
+#: A non-tiny E13 run may be at most this fraction slower per simulated
+#: hour than the best comparable committed run before the suite fails.
+MAX_REGRESSION = 0.20
+
+
+def _committed_floor(tiny, cpus):
+    """Best (lowest) E13 ``wall_s_per_sim_hour`` among committed runs
+    with the same tiny flag and CPU count, or None."""
+    try:
+        doc = json.loads(BENCH_PATH.read_text())
+    except (ValueError, OSError):
+        return None
+    comparable = [
+        run["fleet_e13"]["wall_s_per_sim_hour"]
+        for run in doc.get("runs", [])
+        if run.get("tiny") == tiny
+        and run.get("cpus") == cpus
+        and "fleet_e13" in run
+    ]
+    return min(comparable) if comparable else None
 
 
 def _small_fleet(mode):
@@ -42,7 +68,7 @@ def test_e13_scale(bench_record):
     wall_s = time.perf_counter() - t0
 
     totals = result["totals"]
-    sim_hours = config.horizon_s / 3600.0
+    per_hour = wall_s / (config.horizon_s / 3600.0)
     tables = {
         tenant: {
             "users_per_day": entry["users_per_day"],
@@ -67,7 +93,7 @@ def test_e13_scale(bench_record):
         "requests_admitted": totals["admitted"],
         "requests_shed": totals["shed"],
         "wall_s": wall_s,
-        "wall_s_per_sim_hour": wall_s / sim_hours,
+        "wall_s_per_sim_hour": per_hour,
         "cells": totals["num_cells"],
         "cells_analytic": totals["cells_analytic"],
         "cells_des": totals["cells_des"],
@@ -79,6 +105,12 @@ def test_e13_scale(bench_record):
     if not TINY:
         # The acceptance headline: a million simulated users a day.
         assert totals["users_per_day"] >= 1_000_000
+        floor = _committed_floor(TINY, bench_record["cpus"])
+        if floor is not None:
+            assert per_hour <= (1.0 + MAX_REGRESSION) * floor, (
+                f"E13 wall time regressed >{MAX_REGRESSION:.0%}: "
+                f"{per_hour:.1f} s/sim-hour vs committed {floor:.1f}"
+            )
 
 
 def test_analytic_vs_des_modes(bench_record):

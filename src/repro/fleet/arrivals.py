@@ -25,6 +25,7 @@ per-tenant streams are independent by construction.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -92,7 +93,7 @@ def generate_tenant_trace(
     peak = tenant.peak_rate_per_s
     profile = tenant.token_profile
     sla_values = [sla for sla, _weight in tenant.sla_mix]
-    sla_cdf = np.cumsum([weight for _sla, weight in tenant.sla_mix])
+    sla_cdf = np.cumsum([weight for _sla, weight in tenant.sla_mix]).tolist()
 
     records: List[TraceRecord] = []
     t = 0.0
@@ -113,8 +114,7 @@ def generate_tenant_trace(
         if u >= rate / peak:
             continue
         prompt, output = profile.sample(rng, context_limit_tokens)
-        sla_index = int(np.searchsorted(sla_cdf, float(rng.random()),
-                                        side="right"))
+        sla_index = bisect.bisect_right(sla_cdf, float(rng.random()))
         sla_index = min(sla_index, len(sla_values) - 1)
         records.append(
             TraceRecord(

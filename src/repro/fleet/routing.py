@@ -193,18 +193,26 @@ class FleetRouter:
         if epoch_s <= 0:
             raise ValueError("epoch length must be positive")
         decisions: List[RoutingDecision] = []
+        # (epoch, tenant) -> (replicas per cluster, sorted candidates);
+        # the plan is fixed for the call, so each group is built once.
+        groups: Dict[Tuple[int, str], Tuple[Dict[int, int], List[int]]] = {}
         for arrival_time, name, index, _record in merged_arrivals:
             tenant = self.tenants[name]
             epoch = min(int(arrival_time // epoch_s), len(epoch_plan) - 1)
-            allocation = epoch_plan[epoch].get(name)
-            per_cluster = (
-                dict(allocation.per_cluster) if allocation is not None else {}
-            )
-            candidates = sorted(
-                cluster
-                for cluster, replicas in per_cluster.items()
-                if replicas > 0
-            )
+            group = groups.get((epoch, name))
+            if group is None:
+                allocation = epoch_plan[epoch].get(name)
+                per_cluster = (
+                    dict(allocation.per_cluster)
+                    if allocation is not None else {}
+                )
+                candidates = sorted(
+                    cluster
+                    for cluster, replicas in per_cluster.items()
+                    if replicas > 0
+                )
+                group = groups[(epoch, name)] = (per_cluster, candidates)
+            per_cluster, candidates = group
             if not candidates:
                 decisions.append(
                     RoutingDecision(

@@ -49,6 +49,7 @@ the validity envelope and the measured DES-vs-analytic error table.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -237,6 +238,7 @@ def analytic_cluster_report(
     engine_of = _jsq_replay(
         arrival, arrival + pre_time + decode_solo, num_engines
     )
+    groups = _engine_groups(engine_of, num_engines)
 
     # ------------------------------------------------------------------
     # Realized concurrency, two rounds: round 1 sweeps solo-time decode
@@ -244,21 +246,20 @@ def analytic_cluster_report(
     # batch-dilated, wait-shifted intervals (batching feedback).
     # ------------------------------------------------------------------
     b_ctx, _, _, _, _ = _engine_geometry(
-        arrival + pre_time, decode_solo, prompt, output, engine_of,
-        num_engines, max_batch_size,
+        arrival + pre_time, decode_solo, prompt, output, groups,
+        max_batch_size,
     )
     b_ctx = np.minimum(b_ctx, float(max_batch_size))
     step_time, _ = step_times(np.repeat(b_ctx, output))
     decode_sum = np.add.reduceat(step_time, starts)
 
     wait, ttft_delay, fin_delay = _admission_waits(
-        arrival, pre_time, decode_sum, output, engine_of, num_engines
+        arrival, pre_time, decode_sum, output, groups
     )
     dstart = arrival + wait + pre_time + ttft_delay
     span_len = decode_sum + (fin_delay - ttft_delay)
     _, busy_union, peak, overflow, profiles = _engine_geometry(
-        dstart, span_len, prompt, output, engine_of, num_engines,
-        max_batch_size,
+        dstart, span_len, prompt, output, groups, max_batch_size,
     )
     conc_time = float(busy_union.sum())
     if overflow > MAX_OVERFLOW_FRACTION * max(conc_time, 1e-12):
@@ -274,22 +275,28 @@ def analytic_cluster_report(
     # E[1/b] (iteration shares) and the tbt tail honest — one
     # window-averaged batch per request would flatten both, and a mean
     # co-runner length would miss the slow iterations where several
-    # long contexts decode together.
-    frac = (_step_index(output) + 0.5) / np.repeat(output, output)
-    flat_t = np.repeat(dstart, output) + frac * np.repeat(span_len, output)
-    step_b, ctx_sum = _sample_profiles(
-        flat_t, np.repeat(engine_of, output), profiles
+    # long contexts decode together.  Flat per-step arrays set the
+    # evaluator's peak memory, so the sample times are not kept and the
+    # co-runner context reuses the summed-context buffer.
+    step_b, co_ctx = _sample_profiles(
+        np.repeat(dstart, output)
+        + (_step_index(output) + 0.5) / np.repeat(output, output)
+        * np.repeat(span_len, output),
+        groups, starts, output, profiles,
     )
-    co_ctx = np.maximum(ctx_sum - ctx, 0.0)
-    raw_b = np.maximum(step_b, 1.0)
-    np.clip(step_b, 1.0, float(max_batch_size), out=step_b)
-    # If the cap trimmed the batch, trim the co-runner context with it.
-    co_ctx *= (step_b - 1.0) / np.maximum(raw_b - 1.0, 1.0)
+    co_ctx -= ctx  # the engine's summed context, less the request's own
+    np.maximum(co_ctx, 0.0, out=co_ctx)
+    cap = float(max_batch_size)
+    # If the cap trims the batch, trim the co-runner context with it.
+    co_ctx *= (np.clip(step_b, 1.0, cap) - 1.0) / np.maximum(
+        np.maximum(step_b, 1.0) - 1.0, 1.0
+    )
+    np.clip(step_b, 1.0, cap, out=step_b)
     step_time, step_memory_bound = step_times(step_b, co_ctx)
     decode_sum = np.add.reduceat(step_time, starts)
     first_step = step_time[starts]
     wait, ttft_delay, fin_delay = _admission_waits(
-        arrival, pre_time, decode_sum, output, engine_of, num_engines
+        arrival, pre_time, decode_sum, output, groups
     )
 
     first_token = arrival + wait + pre_time + ttft_delay + first_step
@@ -379,10 +386,8 @@ def analytic_cluster_report(
 
 def _step_index(output: np.ndarray) -> np.ndarray:
     """Flat ``[0..n_0-1, 0..n_1-1, ...]`` step offsets for each request."""
-    total = int(output.sum())
-    index = np.arange(total, dtype=np.float64)
-    starts = np.repeat(np.cumsum(output) - output, output)
-    return index - starts
+    index = np.arange(int(output.sum()), dtype=np.int64)
+    return index - np.repeat(np.cumsum(output) - output, output)
 
 
 def _jsq_replay(
@@ -392,23 +397,41 @@ def _jsq_replay(
 
     The DES dispatcher counts each engine's unfinished requests at every
     arrival (ties break toward the lowest engine index).  Here a
-    request is "unfinished" while its estimated residence interval
-    covers the arrival instant.
+    request is "unfinished" while its estimated departure lies after
+    the arrival instant.  Each engine keeps a min-heap of estimated
+    departures: arrivals replay in time order, so a departure at or
+    before ``now`` can never count again and is popped for good, and
+    the engine's load is the heap's length: O(n log n · E) for ``n``
+    requests on ``E`` engines.
     """
     engine_of = np.zeros(arrival.size, dtype=np.int64)
     if num_engines == 1:
         return engine_of
     resident: List[List[float]] = [[] for _ in range(num_engines)]
-    for i in np.argsort(arrival, kind="stable"):
-        now = arrival[i]
+    arrivals = arrival.tolist()
+    departures = departure_est.tolist()
+    for i in np.argsort(arrival, kind="stable").tolist():
+        now = arrivals[i]
         best, best_load = 0, None
-        for e in range(num_engines):
-            load = sum(1 for fin in resident[e] if fin > now)
+        for e, heap in enumerate(resident):
+            while heap and heap[0] <= now:
+                heapq.heappop(heap)
+            load = len(heap)
             if best_load is None or load < best_load:
                 best, best_load = e, load
         engine_of[i] = best
-        resident[best].append(float(departure_est[i]))
+        heapq.heappush(resident[best], departures[i])
     return engine_of
+
+
+def _engine_groups(
+    engine_of: np.ndarray, num_engines: int
+) -> List[np.ndarray]:
+    """Each engine's request indices in ascending order — what
+    ``np.flatnonzero(engine_of == e)`` gives, from one stable sort."""
+    order = np.argsort(engine_of, kind="stable")
+    sizes = np.bincount(engine_of, minlength=num_engines)
+    return np.split(order, np.cumsum(sizes)[:-1])
 
 
 def _engine_geometry(
@@ -416,8 +439,7 @@ def _engine_geometry(
     dlen: np.ndarray,
     prompt: np.ndarray,
     output: np.ndarray,
-    engine_of: np.ndarray,
-    num_engines: int,
+    groups: List[np.ndarray],
     cap: int,
 ) -> Tuple[np.ndarray, np.ndarray, float, float, List]:
     """Sweep each engine's decode intervals ``[dstart, dstart + dlen)``.
@@ -435,14 +457,13 @@ def _engine_geometry(
     per iteration), stored as per-segment ``const + slope * t``.
     """
     b_ctx = np.ones(dstart.size, dtype=np.float64)
-    busy_union = np.zeros(num_engines, dtype=np.float64)
+    busy_union = np.zeros(len(groups), dtype=np.float64)
     peak = 0.0
     overflow = 0.0
-    profiles: List = [None] * num_engines
+    profiles: List = [None] * len(groups)
     dend = dstart + dlen
     growth = output / np.maximum(dlen, 1e-300)  # tokens per second
-    for e in range(num_engines):
-        idx = np.flatnonzero(engine_of == e)
+    for e, idx in enumerate(groups):
         if idx.size == 0:
             continue
         s, f = dstart[idx], dend[idx]
@@ -482,20 +503,27 @@ def _engine_geometry(
 
 
 def _sample_profiles(
-    flat_t: np.ndarray, engine_flat: np.ndarray, profiles: List
+    flat_t: np.ndarray,
+    groups: List[np.ndarray],
+    starts: np.ndarray,
+    output: np.ndarray,
+    profiles: List,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate concurrency and summed-context profiles at given times."""
+    """Evaluate concurrency and summed-context profiles at given times.
+
+    ``flat_t`` holds one time per decode step; request ``i`` owns the
+    flat steps ``starts[i] .. starts[i] + output[i] - 1``."""
     conc_out = np.ones(flat_t.size, dtype=np.float64)
     ctx_out = np.zeros(flat_t.size, dtype=np.float64)
-    for e, profile in enumerate(profiles):
+    for idx, profile in zip(groups, profiles):
         if profile is None:
             continue
         t, conc, ctx_const, ctx_slope = profile
-        mask = engine_flat == e
-        x = flat_t[mask]
+        steps = np.repeat(starts[idx], output[idx]) + _step_index(output[idx])
+        x = flat_t[steps]
         k = np.clip(np.searchsorted(t, x, side="right") - 1, 0, t.size - 1)
-        conc_out[mask] = conc[k]
-        ctx_out[mask] = ctx_const[k] + ctx_slope[k] * x
+        conc_out[steps] = conc[k]
+        ctx_out[steps] = ctx_const[k] + ctx_slope[k] * x
     return conc_out, ctx_out
 
 
@@ -504,8 +532,7 @@ def _admission_waits(
     pre_time: np.ndarray,
     decode_sum: np.ndarray,
     output: np.ndarray,
-    engine_of: np.ndarray,
-    num_engines: int,
+    groups: List[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-request admission wait and prefill-preemption delays.
 
@@ -523,8 +550,7 @@ def _admission_waits(
     ttft_delay = np.zeros(count, dtype=np.float64)
     fin_delay = np.zeros(count, dtype=np.float64)
     mean_step = decode_sum / np.maximum(output, 1)
-    for e in range(num_engines):
-        idx = np.flatnonzero(engine_of == e)
+    for idx in groups:
         if idx.size < 2:
             continue
         order = np.argsort(arrival[idx], kind="stable")

@@ -69,7 +69,7 @@ class InferenceRequest:
             raise ValueError("prompt must have at least one token")
         if self.output_tokens < 1:
             raise ValueError("output must have at least one token")
-        if self.arrival_time < 0:
+        if not self.arrival_time >= 0:  # NaN fails this too
             raise ValueError("arrival time must be >= 0")
         if not 0 <= self.cached_prompt_tokens < self.prompt_tokens:
             raise ValueError(

@@ -1,8 +1,11 @@
 """Trace-driven arrival generation: seed purity, modulation, merging."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.fleet import arrivals
 from repro.fleet import (
     DEFAULT_TENANTS,
     TenantConfig,
@@ -89,6 +92,52 @@ class TestTenantTrace:
             1 for r in trace if r.sla == "interactive"
         ) / len(trace)
         assert share == pytest.approx(0.7, abs=0.05)
+
+    def test_sla_draw_on_cdf_boundary(self, monkeypatch):
+        # Weights 0.25/0.25/0.5 give the exact CDF [0.25, 0.5, 1.0].  A
+        # uniform landing exactly on a boundary picks the class above it,
+        # as ``np.searchsorted(cdf, u, side="right")`` does.
+        tenant = TenantConfig(
+            name="mixed",
+            rate_per_s=2.0,
+            sla_mix=(
+                ("interactive", 0.25),
+                ("throughput", 0.25),
+                ("best-effort", 0.5),
+            ),
+        )
+        cdf = np.cumsum([weight for _sla, weight in tenant.sla_mix])
+        boundaries = [0.0, 0.25, 0.5]
+        real_rng = np.random.default_rng
+
+        class ScriptedUniforms:
+            """A real generator whose uniform draws alternate between
+            0.0 (always accept the thinning test) and a boundary."""
+
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+                self._uniforms = itertools.cycle(
+                    u for b in boundaries for u in (0.0, b)
+                )
+
+            def random(self):
+                return next(self._uniforms)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        monkeypatch.setattr(
+            arrivals.np.random, "default_rng", ScriptedUniforms
+        )
+        trace = generate_tenant_trace(tenant, 30.0, _seed(7))
+        assert len(trace) >= len(boundaries)
+        names = [sla for sla, _weight in tenant.sla_mix]
+        for record, u in zip(trace, itertools.cycle(boundaries)):
+            index = int(np.searchsorted(cdf, u, side="right"))
+            assert record.sla == names[index]
+        assert [r.sla for r in trace[:3]] == [
+            "interactive", "throughput", "best-effort"
+        ]
 
     def test_burst_raises_offered_load(self):
         quiet = TenantConfig(

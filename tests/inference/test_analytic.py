@@ -1,6 +1,6 @@
 """Tests for the analytic (fluid-replay) serving evaluator.
 
-Covers three layers of the analytic-mode contract:
+Covers four layers of the analytic-mode contract:
 
 - **Guards**: scenarios the fluid replay cannot express raise
   :class:`UnsupportedScenario` (prefix sharing, overload, KV pools too
@@ -11,10 +11,14 @@ Covers three layers of the analytic-mode contract:
   :data:`CROSS_VAL_METRICS` agrees with the DES within
   :data:`CROSS_VAL_TOLERANCE`, and sweeps are worker-count invariant in
   both modes.
+- **Replay**: the heap-based JSQ replay assigns every request to the
+  same engine as the brute-force counting loop it replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.inference import (
     CROSS_VAL_METRICS,
@@ -27,6 +31,7 @@ from repro.inference import (
     run_serve_sweep,
 )
 from repro.inference.accelerator import A100_80G, H100_80G
+from repro.inference.analytic import _engine_groups, _jsq_replay
 from repro.inference.cluster import tensor_parallel_group
 from repro.sim import Simulator
 from repro.workload.model import LLAMA2_13B, LLAMA2_70B
@@ -174,6 +179,72 @@ class TestSweepDeterminism:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown serve mode"):
             run_serve_sweep([{}], mode="quantum")
+
+
+def _brute_force_replay(arrival, departure_est, num_engines):
+    """The original O(n^2) replay: count every engine's residents whose
+    estimated departure lies after each arrival, lowest index on ties."""
+    engine_of = np.zeros(arrival.size, dtype=np.int64)
+    resident = [[] for _ in range(num_engines)]
+    for i in np.argsort(arrival, kind="stable"):
+        now = arrival[i]
+        loads = [sum(fin > now for fin in fins) for fins in resident]
+        best = loads.index(min(loads))
+        engine_of[i] = best
+        resident[best].append(float(departure_est[i]))
+    return engine_of
+
+
+class TestJSQReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_engines=st.integers(1, 24),
+        count=st.integers(0, 2000),
+        quantum=st.sampled_from([0.25, 1.0, 0.1]),
+        span=st.integers(1, 400),
+        max_stay=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force(
+        self, num_engines, count, quantum, span, max_stay, seed
+    ):
+        # Arrivals and stays on a coarse grid: many arrivals share an
+        # instant and many departures land exactly on a later arrival
+        # (the ``fin <= now`` pop boundary); zero stays depart on their
+        # own arrival instant.
+        rng = np.random.default_rng(seed)
+        arrival = rng.integers(0, span, size=count) * quantum
+        stay = rng.integers(0, max_stay + 1, size=count) * quantum
+        departure = arrival + stay
+        np.testing.assert_array_equal(
+            _jsq_replay(arrival, departure, num_engines),
+            _brute_force_replay(arrival, departure, num_engines),
+        )
+
+    def test_departure_at_arrival_frees_the_slot(self):
+        # Engine 0 holds departures {1, 5}, engine 1 holds {5}.  At t=1
+        # the departure at exactly t=1 no longer counts, so both engines
+        # carry one request and the tie goes to engine 0.
+        arrival = np.array([0.0, 0.0, 0.0, 1.0])
+        departure = np.array([1.0, 5.0, 5.0, 9.0])
+        assert _jsq_replay(arrival, departure, 2).tolist() == [0, 1, 0, 0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_engines=st.integers(1, 24),
+        count=st.integers(0, 500),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_engine_groups_match_masks(self, num_engines, count, seed):
+        engine_of = np.random.default_rng(seed).integers(
+            0, num_engines, size=count
+        )
+        groups = _engine_groups(engine_of, num_engines)
+        assert len(groups) == num_engines
+        for e, idx in enumerate(groups):
+            np.testing.assert_array_equal(
+                idx, np.flatnonzero(engine_of == e)
+            )
 
 
 class TestAnalyticSpeed:

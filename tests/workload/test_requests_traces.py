@@ -27,6 +27,10 @@ class TestInferenceRequest:
             InferenceRequest(arrival_time=0.0, prompt_tokens=0, output_tokens=1)
         with pytest.raises(ValueError):
             InferenceRequest(arrival_time=-1.0, prompt_tokens=1, output_tokens=1)
+        with pytest.raises(ValueError, match="arrival time"):
+            InferenceRequest(
+                arrival_time=float("nan"), prompt_tokens=1, output_tokens=1
+            )
 
     def test_totals_and_kv(self):
         req = InferenceRequest(0.0, prompt_tokens=100, output_tokens=28)
