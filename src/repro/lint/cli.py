@@ -16,7 +16,7 @@ from typing import List, Optional
 from repro.lint.baseline import Baseline, BaselineError, DEFAULT_BASELINE_NAME
 from repro.lint.dataflow.rules import DATAFLOW_RULE_IDS
 from repro.lint.effects.rules import EFFECTS_RULE_IDS
-from repro.lint.engine import AUTO_CACHE_DIR, LintEngine
+from repro.lint.engine import AUTO_CACHE_DIR, LintEngine, LintResult
 from repro.lint.output import OUTPUT_FORMATS, render_json, render_sarif
 from repro.lint.races.rules import RACES_RULE_IDS
 from repro.lint.rules import rule_catalog, split_selection
@@ -43,6 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
             "determinism, float hygiene, sim-process hygiene, and device-"
             "parameter provenance."
         ),
+        # No prefix matching: ``--dataflow``/``--effects``/``--races``
+        # would otherwise silently mean ``--dataflow-cache``/
+        # ``--effects-report``/``--races-report`` and eat the next path.
+        allow_abbrev=False,
     )
     parser.add_argument(
         "paths",
@@ -108,36 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
         "document to stdout",
     )
     parser.add_argument(
-        "--dataflow",
-        dest="dataflow",
-        action="store_true",
-        default=True,
-        help="run the interprocedural dataflow pass, RL012-RL015 (default: on)",
-    )
-    parser.add_argument(
         "--no-dataflow",
-        dest="dataflow",
-        action="store_false",
-        help="skip the dataflow pass (per-file rules only)",
+        action="store_true",
+        help="skip the interprocedural dataflow pass, RL012-RL015",
     )
     parser.add_argument(
         "--dataflow-cache",
         metavar="DIR",
-        help="summary cache directory (default: <repo-root>/.repro-lint-cache); "
-        "'none' disables caching",
-    )
-    parser.add_argument(
-        "--effects",
-        dest="effects",
-        action="store_true",
-        default=True,
-        help="run the effect-inference pass, RL016-RL019 (default: on)",
+        help="facts cache directory for the interprocedural passes "
+        "(default: <repo-root>/.repro-lint-cache); 'none' disables caching",
     )
     parser.add_argument(
         "--no-effects",
-        dest="effects",
-        action="store_false",
-        help="skip the effects pass (and the kernel-readiness report)",
+        action="store_true",
+        help="skip the effect-inference pass, RL016-RL019 (and the "
+        "kernel-readiness report)",
     )
     parser.add_argument(
         "--effects-report",
@@ -146,17 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires the effects pass; parent directory must exist)",
     )
     parser.add_argument(
-        "--races",
-        dest="races",
-        action="store_true",
-        default=True,
-        help="run the happens-before races pass, RL021-RL024 (default: on)",
-    )
-    parser.add_argument(
         "--no-races",
-        dest="races",
-        action="store_false",
-        help="skip the races pass (and the cohort-conflict report)",
+        action="store_true",
+        help="skip the happens-before races pass, RL021-RL024 (and the "
+        "cohort-conflict report)",
     )
     parser.add_argument(
         "--races-report",
@@ -177,6 +159,22 @@ def _split_ids(values: Optional[List[str]]) -> Optional[List[str]]:
     return out
 
 
+def _effects_extra(result: LintResult) -> str:
+    if result.effects_report is None:
+        return ""
+    return f", {len(result.effects_report['hot_functions'])} hot-path function(s)"
+
+
+def _races_extra(result: LintResult) -> str:
+    if result.races_report is None:
+        return ""
+    summary = result.races_report["summary"]
+    return (
+        f", {summary['members']} cohort member(s), "
+        f"{summary['pairs']} may-co-schedule pair(s)"
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -193,13 +191,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    dataflow_ids = {i for i in inter_ids if i in DATAFLOW_RULE_IDS}
-    effects_ids = {i for i in inter_ids if i in EFFECTS_RULE_IDS}
-    races_ids = {i for i in inter_ids if i in RACES_RULE_IDS}
+    for skipped, layer_ids in (
+        (args.no_dataflow, DATAFLOW_RULE_IDS),
+        (args.no_effects, EFFECTS_RULE_IDS),
+        (args.no_races, RACES_RULE_IDS),
+    ):
+        if skipped:
+            inter_ids -= set(layer_ids)
 
     report_path: Optional[Path] = None
     if args.effects_report:
-        if not args.effects:
+        if args.no_effects:
             print(
                 "error: --effects-report requires the effects pass "
                 "(drop --no-effects)",
@@ -223,7 +225,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     races_report_path: Optional[Path] = None
     if args.races_report:
-        if not args.races:
+        if args.no_races:
             print(
                 "error: --races-report requires the races pass "
                 "(drop --no-races)",
@@ -277,13 +279,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         rule_classes=rule_classes,
         baseline=baseline,
         repo_root=repo_root,
-        dataflow=args.dataflow and bool(dataflow_ids),
-        dataflow_rule_ids=dataflow_ids,
+        rule_ids=inter_ids,
         dataflow_cache_dir=cache_dir,
-        effects=args.effects and bool(effects_ids),
-        effects_rule_ids=effects_ids,
-        races=args.races and bool(races_ids),
-        races_rule_ids=races_ids,
     )
     result = engine.run([Path(p) for p in args.paths])
 
@@ -345,33 +342,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "entry(ies) — prune them"
             )
         print(summary)
-        if result.dataflow_stats is not None:
-            stats = result.dataflow_stats
-            print(
-                f"dataflow: {stats.files} file(s) summarized, "
-                f"cache {stats.cache_hits} hit(s) / "
-                f"{stats.cache_misses} miss(es) "
-                f"({stats.hit_rate():.0%} hit rate)"
-            )
-        if result.effects_stats is not None:
-            estats = result.effects_stats
-            print(
-                f"effects: {estats.files} file(s) summarized, "
-                f"cache {estats.cache_hits} hit(s) / "
-                f"{estats.cache_misses} miss(es) "
-                f"({estats.hit_rate():.0%} hit rate), "
-                f"{estats.hot_functions} hot-path function(s)"
-            )
-        if result.races_stats is not None:
-            rstats = result.races_stats
-            print(
-                f"races: {rstats.files} file(s) summarized, "
-                f"cache {rstats.cache_hits} hit(s) / "
-                f"{rstats.cache_misses} miss(es) "
-                f"({rstats.hit_rate():.0%} hit rate), "
-                f"{rstats.members} cohort member(s), "
-                f"{rstats.pairs} may-co-schedule pair(s)"
-            )
+        for layer, stats, extra in (
+            ("dataflow", result.dataflow_stats, ""),
+            ("effects", result.effects_stats, _effects_extra(result)),
+            ("races", result.races_stats, _races_extra(result)),
+        ):
+            if stats is not None:
+                print(
+                    f"{layer}: {stats.files} file(s) summarized, "
+                    f"cache {stats.cache_hits} hit(s) / "
+                    f"{stats.cache_misses} miss(es) "
+                    f"({stats.hit_rate():.0%} hit rate){extra}"
+                )
 
     if result.parse_errors or result.suppression_errors:
         return EXIT_USAGE

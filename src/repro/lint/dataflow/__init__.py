@@ -10,17 +10,15 @@ per-file parses:
 - :mod:`~repro.lint.dataflow.extract` reduces each file to a
   :class:`~repro.lint.dataflow.model.FileSummary` — functions, their
   parameter/return dimensions, dataclass fields, resolved call sites,
-  RNG constructions and wall-clock calls;
-- :mod:`~repro.lint.dataflow.cache` content-hash caches those
-  summaries so the in-pytest repo-tree lint stays fast;
+  RNG constructions and wall-clock calls — cached with the other
+  layers' summaries as one :class:`~repro.lint.facts.FileFacts`;
 - :mod:`~repro.lint.dataflow.linker` stitches summaries into a
   project symbol table and call graph (chasing re-export aliases);
 - :mod:`~repro.lint.dataflow.rules` runs the four interprocedural
   rules over the linked program.
 
-Entry point: :func:`run_dataflow` (used by the lint engine) or
-:func:`analyze_tree` (standalone, parses files itself — used by the
-timing tests and the CI dataflow step).
+Entry point: :func:`~repro.lint.dataflow.run.run_dataflow`, called
+by the lint engine (or standalone, by :func:`repro.lint.engine.analyze`).
 """
 
 from __future__ import annotations
@@ -30,13 +28,9 @@ from repro.lint.dataflow.rules import (
     DATAFLOW_RULE_IDS,
     dataflow_catalog,
 )
-from repro.lint.dataflow.run import DataflowStats, analyze_tree, run_dataflow
 
 __all__ = [
     "DATAFLOW_SCHEMA",
     "DATAFLOW_RULE_IDS",
-    "DataflowStats",
-    "analyze_tree",
     "dataflow_catalog",
-    "run_dataflow",
 ]

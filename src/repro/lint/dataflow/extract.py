@@ -1,10 +1,11 @@
-"""Reduce one parsed file to a :class:`FileSummary`.
+"""Reduce one file's scope to a :class:`FileSummary`.
 
 Extraction is deliberately file-local: the only inputs are the source
-text and the module's dotted name, so the result can be content-hash
-cached.  Name resolution uses the file's own imports (``from
-repro.workload.requests import ArrivalProcess`` makes the bare name
-resolvable here); chasing re-export chains across files is the
+text and the module's dotted name (through the file's shared
+:class:`~repro.lint.scope.FileScope`), so the result can be
+content-hash cached.  Name resolution uses the file's own imports
+(``from repro.workload.requests import ArrivalProcess`` makes the bare
+name resolvable here); chasing re-export chains across files is the
 linker's job.
 
 Precision stance: this is a linter, so the inferencer prefers silence
@@ -16,7 +17,7 @@ infers ``None`` and can never produce a finding.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.dataflow import dimensions as dims
 from repro.lint.dataflow.model import (
@@ -36,6 +37,7 @@ from repro.lint.dataflow.model import (
 from repro.lint.rules.base import dotted_name
 from repro.lint.rules.determinism import _WALL_CLOCK_CALLS
 from repro.lint.rules.simhygiene import BLOCKING_CALLS, COMMAND_CONSTRUCTORS
+from repro.lint.scope import FileScope, FunctionScope, ModuleBody, snippet
 
 #: Parameter names that identify the seed input of an RNG factory.
 SEED_PARAM_NAMES: Set[str] = {
@@ -55,76 +57,6 @@ _RNG_CTOR_TAILS: Tuple[str, ...] = (
 
 #: Helpers whose result is seed-derived by construction.
 _SEED_DERIVING_TAILS: Set[str] = {"SeedSequence", "spawn", "spawn_seeds"}
-
-_MAX_SNIPPET = 48
-
-
-def _snippet(node: ast.AST) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse is total on parsed trees
-        return ""
-    return text if len(text) <= _MAX_SNIPPET else text[: _MAX_SNIPPET - 3] + "..."
-
-
-def build_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
-    """Local name -> fully-qualified dotted target, from this file's
-    imports (relative imports resolved against ``module``'s package)."""
-    package_parts = module.split(".")[:-1] if module else []
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    # `import a.b` binds `a`; attribute chains keep the path.
-                    head = alias.name.split(".")[0]
-                    aliases.setdefault(head, head)
-        elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = package_parts[: len(package_parts) - (node.level - 1)]
-                prefix = ".".join(base)
-                if node.module:
-                    prefix = f"{prefix}.{node.module}" if prefix else node.module
-            else:
-                prefix = node.module or ""
-            if not prefix:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                aliases[alias.asname or alias.name] = f"{prefix}.{alias.name}"
-    return aliases
-
-
-class _NameResolver:
-    """Resolves a dotted name written in this file to a fully-qualified
-    candidate, using imports, module-level definitions, and (for
-    ``self.x``) the enclosing class."""
-
-    def __init__(
-        self, module: str, aliases: Dict[str, str], local_defs: Set[str]
-    ) -> None:
-        self.module = module
-        self.aliases = aliases
-        self.local_defs = local_defs
-
-    def resolve(self, name: str, class_ctx: str = "") -> str:
-        if not name:
-            return ""
-        head, _, rest = name.partition(".")
-        if head in ("self", "cls") and class_ctx:
-            if rest and "." not in rest:
-                return f"{class_ctx}.{rest}"
-            return ""
-        if head in self.aliases:
-            target = self.aliases[head]
-            return f"{target}.{rest}" if rest else target
-        if head in self.local_defs and self.module:
-            return f"{self.module}.{name}"
-        return ""
-
 
 def _param_infos(
     args: ast.arguments, is_method: bool
@@ -155,30 +87,6 @@ def _one_param(arg: ast.arg, default: Optional[ast.expr]) -> ParamInfo:
         default_is_none=isinstance(default, ast.Constant)
         and default.value is None,
     )
-
-
-def _own_nodes(root: ast.AST) -> List[ast.AST]:
-    """Nodes belonging to ``root``'s body in source order, stopping at
-    nested function/class boundaries (they get their own summaries)."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = list(reversed(list(ast.iter_child_nodes(root))))
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
-        ):
-            continue
-        out.append(node)
-        stack.extend(reversed(list(ast.iter_child_nodes(node))))
-    return out
-
-
-def _parent_map(nodes: Sequence[ast.AST]) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in nodes:
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
 
 
 def _maximal_binop(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> Optional[ast.BinOp]:
@@ -221,18 +129,16 @@ class _FunctionExtractor:
     """Summarizes one function body (or the module's top-level code)."""
 
     def __init__(
-        self,
-        resolver: _NameResolver,
-        qualname: str,
-        node: Optional[ast.AST],
-        params: List[ParamInfo],
-        is_method: bool,
-        class_ctx: str,
+        self, scope: FileScope, function: Union[FunctionScope, ModuleBody]
     ) -> None:
-        self.resolver = resolver
-        self.class_ctx = class_ctx
+        node = function.node
+        params = (
+            _param_infos(node.args, function.is_method) if node is not None else []
+        )
+        self.resolver = scope.resolver
+        self.class_ctx = function.class_ctx
         self.param_names = {p.name for p in params}
-        if is_method:
+        if function.is_method:
             self.param_names |= {"self", "cls"}
         self.env: Dict[str, dims.Quantity] = {}
         #: local var -> (provenance, seed_param) for rng-valued locals.
@@ -241,10 +147,10 @@ class _FunctionExtractor:
         self.env_seed_derived: Set[str] = set()
         self.inferencer = dims.ExpressionInferencer(self.env)
         self.summary = FunctionSummary(
-            qualname=qualname,
-            lineno=getattr(node, "lineno", 0) if node is not None else 0,
-            col=getattr(node, "col_offset", 0) if node is not None else 0,
-            is_method=is_method,
+            qualname=function.qualname,
+            lineno=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0),
+            is_method=function.is_method,
             params=params,
         )
 
@@ -315,9 +221,8 @@ class _FunctionExtractor:
         return self.classify_seed_expr(node)
 
     # -- the walk ----------------------------------------------------------
-    def run(self, root: ast.AST) -> FunctionSummary:
-        nodes = _own_nodes(root)
-        parents = _parent_map(nodes)
+    def run(self, function: FunctionScope) -> FunctionSummary:
+        nodes, parents = function.own, function.parents
         returns: List[ast.Return] = []
         yields: List[ast.Yield] = []
         for node in nodes:
@@ -392,8 +297,8 @@ class _FunctionExtractor:
                     lineno=node.lineno,
                     col=node.col_offset,
                     provenance=prov,
-                    text=_snippet(node),
-                    seed_text=_snippet(seed_expr) if seed_expr is not None else "",
+                    text=snippet(node),
+                    seed_text=snippet(seed_expr) if seed_expr is not None else "",
                 )
             )
         if not resolved:
@@ -447,7 +352,7 @@ class _FunctionExtractor:
             base=base,
             call=inner_call,
             rng=prov,
-            text=_snippet(node),
+            text=snippet(node),
         )
 
     def _finish_returns(self, returns: List[ast.Return]) -> None:
@@ -545,125 +450,61 @@ def _field_base_usage(
             field_info.base = next(iter(seen))
 
 
-def extract_summary(
-    display_path: str,
-    module: str,
-    source: str,
-    tree: Optional[ast.Module] = None,
-) -> FileSummary:
-    """Summarize one file.  Pure function of (path, module, source)."""
-    if tree is None:
-        tree = ast.parse(source, filename=display_path)
-    aliases = build_aliases(tree, module)
-    local_defs = {
-        n.name
-        for n in tree.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    resolver = _NameResolver(module, aliases, local_defs)
-    prefix = module or display_path
-    summary = FileSummary(path=display_path, module=module, aliases=dict(aliases))
-
-    module_extractor = _FunctionExtractor(
-        resolver, f"{prefix}.<module>", None, [], False, ""
+def summarize_dataflow(scope: FileScope) -> FileSummary:
+    """One file's dataflow summary, from its shared scope."""
+    summary = FileSummary(
+        path=scope.path, module=scope.module, aliases=dict(scope.aliases)
     )
-
-    def summarize_function(
-        node: ast.FunctionDef, qual_prefix: str, class_ctx: str
-    ) -> None:
-        is_method = bool(class_ctx) and qual_prefix == class_ctx
-        params = _param_infos(node.args, is_method)
-        extractor = _FunctionExtractor(
-            resolver,
-            f"{qual_prefix}.{node.name}",
-            node,
-            params,
-            is_method,
-            class_ctx,
-        )
-        summary.functions.append(extractor.run(node))
-        for child in ast.walk(node):
-            if child is node:
-                continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _encloses_directly(node, child):
-                    summarize_function(
-                        child, f"{qual_prefix}.{node.name}", class_ctx
-                    )
-
-    def _encloses_directly(outer: ast.AST, inner: ast.AST) -> bool:
-        """Is ``inner`` a function nested in ``outer`` with no other
-        function/class definition in between?"""
-        stack: List[ast.AST] = list(ast.iter_child_nodes(outer))
-        while stack:
-            node = stack.pop()
-            if node is inner:
-                return True
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-        return False
-
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summarize_function(node, prefix, "")
-        elif isinstance(node, ast.ClassDef):
-            class_qual = f"{prefix}.{node.name}"
-            init_params: List[ParamInfo] = []
-            explicit_init = None
-            for item in node.body:
-                if (
-                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and item.name == "__init__"
-                ):
-                    explicit_init = item
-            if explicit_init is not None:
-                init_params = _param_infos(explicit_init.args, is_method=True)
-            elif _is_dataclass_decorated(node):
-                for item in node.body:
-                    if isinstance(item, ast.AnnAssign) and isinstance(
-                        item.target, ast.Name
-                    ):
-                        dim = dims.dimension_of_annotation(item.annotation)
-                        if dim is None:
-                            dim = dims.dimension_of_name(item.target.id)
-                        init_params.append(
-                            ParamInfo(
-                                name=item.target.id,
-                                dimension=dim,
-                                has_default=item.value is not None,
-                                default_is_none=isinstance(
-                                    item.value, ast.Constant
-                                )
-                                and item.value.value is None,
-                            )
-                        )
-            _field_base_usage(node, init_params)
-            summary.classes.append(
-                ClassSummary(
-                    qualname=class_qual,
-                    lineno=node.lineno,
-                    is_dataclass=_is_dataclass_decorated(node),
-                    init_params=init_params,
-                )
-            )
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    summarize_function(item, class_qual, class_qual)
-        else:
-            # Module-level statements share one pseudo-function.
-            parents = _parent_map(_own_nodes_of_stmt(node))
-            for sub in _own_nodes_of_stmt(node):
-                if isinstance(sub, (ast.Assign, ast.AnnAssign)):
-                    module_extractor._track_assignment(sub)
-                if isinstance(sub, ast.Call):
-                    module_extractor._record_call(sub, parents)
+    for function in scope.walk(breadth_first=True):
+        summary.functions.append(_FunctionExtractor(scope, function).run(function))
+    for node, class_qual in scope.classes:
+        summary.classes.append(_class_summary(node, class_qual))
+    # Module-level statements share one pseudo-function.
+    module_extractor = _FunctionExtractor(scope, scope.body)
+    for own, parents in scope.body.statements:
+        for sub in own:
+            if isinstance(sub, (ast.Assign, ast.AnnAssign)):
+                module_extractor._track_assignment(sub)
+            if isinstance(sub, ast.Call):
+                module_extractor._record_call(sub, parents)
     summary.functions.append(module_extractor.summary)
     return summary
 
 
-def _own_nodes_of_stmt(node: ast.AST) -> List[ast.AST]:
-    """``node`` plus its descendants, stopping at def/class boundaries."""
-    return [node] + _own_nodes(node)
+def _class_summary(node: ast.ClassDef, class_qual: str) -> ClassSummary:
+    """Constructor parameters (explicit ``__init__`` or dataclass fields)
+    with their dimensions and byte bases."""
+    init_params: List[ParamInfo] = []
+    explicit_init = None
+    for item in node.body:
+        if (
+            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name == "__init__"
+        ):
+            explicit_init = item
+    if explicit_init is not None:
+        init_params = _param_infos(explicit_init.args, is_method=True)
+    elif _is_dataclass_decorated(node):
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(
+                item.target, ast.Name
+            ):
+                dim = dims.dimension_of_annotation(item.annotation)
+                if dim is None:
+                    dim = dims.dimension_of_name(item.target.id)
+                init_params.append(
+                    ParamInfo(
+                        name=item.target.id,
+                        dimension=dim,
+                        has_default=item.value is not None,
+                        default_is_none=isinstance(item.value, ast.Constant)
+                        and item.value.value is None,
+                    )
+                )
+    _field_base_usage(node, init_params)
+    return ClassSummary(
+        qualname=class_qual,
+        lineno=node.lineno,
+        is_dataclass=_is_dataclass_decorated(node),
+        init_params=init_params,
+    )

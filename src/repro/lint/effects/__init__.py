@@ -3,30 +3,25 @@ inference (purity, state writes, RNG draws, I/O, float-reduction
 order, closures) plus rules RL016-RL019 and the kernel-readiness
 report consumed by the ROADMAP item 2 refactor.
 
-Layer map (each file-local product is content-hash cached):
+Layer map (the file-local product is cached in :mod:`repro.lint.facts`):
 
 - :mod:`contracts` — the runtime ``@declared_pure`` marker/registry;
 - :mod:`model` — :class:`EffectFileSummary`, the cached per-file facts;
 - :mod:`extract` — one file's AST -> direct effect facts;
-- :mod:`cache` — the on-disk effects-summary store;
 - :mod:`infer` — whole-program fixpoint -> :class:`EffectSignature`;
 - :mod:`rules` — RL016-RL019 over the inferred signatures;
 - :mod:`report` — the ranked vectorization-readiness report;
-- :mod:`run` — orchestration (engine path + standalone).
+- :mod:`run` — the layer's entry point, :func:`run.run_effects`.
 """
 
 from __future__ import annotations
 
 from repro.lint.effects.contracts import declared_pure, is_declared_pure
 from repro.lint.effects.rules import EFFECTS_RULE_IDS, effects_catalog
-from repro.lint.effects.run import EffectsStats, analyze_effects, run_effects
 
 __all__ = [
     "EFFECTS_RULE_IDS",
-    "EffectsStats",
-    "analyze_effects",
     "declared_pure",
     "effects_catalog",
     "is_declared_pure",
-    "run_effects",
 ]

@@ -1,9 +1,10 @@
-"""Reduce one parsed file to an :class:`EffectFileSummary`.
+"""Reduce one file's scope to an :class:`EffectFileSummary`.
 
-Same contract as the dataflow extractor it reuses helpers from:
-extraction is file-local (a pure function of path, module and source,
-so the result can be content-hash cached), and the precision stance is
-*prefer silence over guessing* — a mutation of a plain local is not an
+Same contract as the dataflow extractor, over the same
+:class:`~repro.lint.scope.FileScope`: extraction is file-local (a pure
+function of path, module and source, so the result can be
+content-hash cached), and the precision stance is *prefer silence
+over guessing* — a mutation of a plain local is not an
 effect, an iteration over a bare name has unknown order and can never
 fire RL016, an unresolvable callee produces no edge.
 
@@ -31,16 +32,9 @@ What is collected per function:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.lint.dataflow import dimensions as dims
-from repro.lint.dataflow.extract import (
-    _NameResolver,
-    _own_nodes,
-    _parent_map,
-    _snippet,
-    build_aliases,
-)
 from repro.lint.effects.model import (
     AttrCall,
     ClosureCapture,
@@ -63,6 +57,15 @@ from repro.lint.effects.model import (
     UNSTABLE_ORDERS,
 )
 from repro.lint.rules.base import dotted_name
+from repro.lint.scope import (
+    FileScope,
+    FunctionScope,
+    ModuleBody,
+    loop_of,
+    names_stored,
+    param_names_of,
+    snippet,
+)
 
 #: Dimensions that imply float arithmetic (non-associative addition).
 FLOAT_DIMENSIONS: Set[str] = {dims.SECONDS, dims.JOULES, dims.WATTS, dims.RATIO}
@@ -173,7 +176,7 @@ _ORDER_PRESERVING_WRAPPERS: Set[str] = {"enumerate", "list", "tuple", "reversed"
 
 def classify_iter(node: ast.AST) -> Tuple[str, str]:
     """(order class, iterable snippet) of a ``for`` loop's iterable."""
-    text = _snippet(node)
+    text = snippet(node)
     while (
         isinstance(node, ast.Call)
         and dotted_name(node.func).split(".")[-1] in _ORDER_PRESERVING_WRAPPERS
@@ -236,14 +239,6 @@ def _names_loaded(node: ast.AST) -> Set[str]:
     }
 
 
-def _names_stored(node: ast.AST) -> Set[str]:
-    return {
-        n.id
-        for n in ast.walk(node)
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
-    }
-
-
 def _has_pure_marker(node: ast.AST) -> bool:
     for decorator in getattr(node, "decorator_list", []):
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -279,29 +274,21 @@ class _EffectsExtractor:
     """Collects direct effect facts for one function body."""
 
     def __init__(
-        self,
-        resolver: _NameResolver,
-        qualname: str,
-        node: Optional[ast.AST],
-        param_names: Sequence[str],
-        is_method: bool,
-        class_ctx: str,
-        module_globals: Set[str],
+        self, scope: FileScope, function: Union[FunctionScope, ModuleBody]
     ) -> None:
-        self.resolver = resolver
-        self.class_ctx = class_ctx
-        self.param_names = set(param_names)
-        self.module_globals = module_globals
+        self.resolver = scope.resolver
+        self.class_ctx = function.class_ctx
+        self.param_names = set(function.params)
+        self.module_globals = scope.module_globals
         self.global_decls: Set[str] = set()
+        node = function.node
         self.effects = FunctionEffects(
-            qualname=qualname,
-            lineno=getattr(node, "lineno", 0) if node is not None else 0,
-            col=getattr(node, "col_offset", 0) if node is not None else 0,
-            is_method=is_method,
-            class_ctx=class_ctx,
-            declared_pure=(
-                _has_pure_marker(node) if node is not None else False
-            ),
+            qualname=function.qualname,
+            lineno=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0),
+            is_method=function.is_method,
+            class_ctx=function.class_ctx,
+            declared_pure=_has_pure_marker(node),
         )
 
     # -- classification ----------------------------------------------------
@@ -320,7 +307,7 @@ class _EffectsExtractor:
         self.effects.mutations.append(
             Mutation(
                 kind=kind,
-                target=_snippet(target),
+                target=snippet(target),
                 root=root,
                 lineno=getattr(target, "lineno", 0),
                 col=getattr(target, "col_offset", 0),
@@ -330,23 +317,11 @@ class _EffectsExtractor:
 
     # -- loop context ------------------------------------------------------
     @staticmethod
-    def _loop_of(
-        node: ast.AST, parents: Dict[ast.AST, ast.AST]
-    ) -> Optional[ast.For]:
-        current = parents.get(node)
-        while current is not None:
-            if isinstance(current, ast.For):
-                return current
-            current = parents.get(current)
-        return None
-
     def _loop_order(
-        self, node: ast.AST, parents: Dict[ast.AST, ast.AST]
+        node: ast.AST, parents: Dict[ast.AST, ast.AST]
     ) -> Tuple[str, str]:
-        loop = self._loop_of(node, parents)
-        if loop is None:
-            return "", ""
-        return classify_iter(loop.iter)
+        loop = loop_of(node, parents)
+        return classify_iter(loop.iter) if loop else ("", "")
 
     # -- statement handlers ------------------------------------------------
     def _handle_assign_target(
@@ -380,7 +355,7 @@ class _EffectsExtractor:
         order, iter_text = self._loop_order(node, parents)
         self.effects.float_accums.append(
             FloatAccum(
-                target=_snippet(node.target),
+                target=snippet(node.target),
                 root=root,
                 kind=self._mutation_kind(root),
                 lineno=node.lineno,
@@ -399,7 +374,7 @@ class _EffectsExtractor:
             return
         target = node.targets[0]
         base_root = _target_root(target)
-        base_text = _snippet(target.value)
+        base_text = snippet(target.value)
         if not base_text:
             return
         has_add = any(
@@ -410,13 +385,13 @@ class _EffectsExtractor:
             return
         reads_base = False
         for sub in ast.walk(node.value):
-            if isinstance(sub, ast.Subscript) and _snippet(sub.value) == base_text:
+            if isinstance(sub, ast.Subscript) and snippet(sub.value) == base_text:
                 reads_base = True
             elif (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
                 and sub.func.attr == "get"
-                and _snippet(sub.func.value) == base_text
+                and snippet(sub.func.value) == base_text
             ):
                 reads_base = True
         if not reads_base:
@@ -427,7 +402,7 @@ class _EffectsExtractor:
         order, iter_text = self._loop_order(node, parents)
         self.effects.float_accums.append(
             FloatAccum(
-                target=_snippet(target),
+                target=snippet(target),
                 root=base_root,
                 kind=self._mutation_kind(base_root),
                 lineno=node.lineno,
@@ -472,7 +447,7 @@ class _EffectsExtractor:
             receiver_tail = _target_tail(node.func.value)
             if receiver_tail.lstrip("_") in RNG_RECEIVER_TAILS or receiver_tail in RNG_RECEIVER_TAILS:
                 self.effects.rng_draws.append(
-                    RngDraw(text=_snippet(node), lineno=node.lineno, col=node.col_offset)
+                    RngDraw(text=snippet(node), lineno=node.lineno, col=node.col_offset)
                 )
 
         # self.<attr>.<method>(...) — resolvable once attr types are known.
@@ -522,42 +497,20 @@ class _EffectsExtractor:
                 self.effects.attr_binds.setdefault(target.attr, candidate)
 
     # -- closures ----------------------------------------------------------
-    def _collect_closures(self, root: ast.AST, own: Sequence[ast.AST]) -> None:
-        enclosing_locals = set(self.param_names)
+    def _collect_closures(self, function: FunctionScope) -> None:
+        if not function.closures:
+            return
+        enclosing_locals = set(self.param_names) | function.stored
         if self.effects.is_method:
             enclosing_locals |= {"self", "cls"}
-        for node in own:
-            enclosing_locals |= _names_stored(node)
 
-        nested: List[ast.AST] = []
-        stack: List[ast.AST] = list(ast.iter_child_nodes(root))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                nested.append(node)
-                continue  # its own nested closures belong to it
-            if isinstance(node, ast.ClassDef):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
-        for node in sorted(nested, key=lambda n: (n.lineno, n.col_offset)):
-            args = node.args
-            own_names = {
-                a.arg
-                for a in (
-                    list(args.posonlyargs)
-                    + list(args.args)
-                    + list(args.kwonlyargs)
-                    + ([args.vararg] if args.vararg else [])
-                    + ([args.kwarg] if args.kwarg else [])
-                )
-            }
+        for node in function.closures:
             body = node.body if isinstance(node.body, list) else [node.body]
             loaded: Set[str] = set()
-            bound: Set[str] = set(own_names)
+            bound: Set[str] = set(param_names_of(node, is_method=False))
             for stmt in body:
                 loaded |= _names_loaded(stmt)
-                bound |= _names_stored(stmt)
+                bound |= names_stored(stmt)
             captured = sorted((loaded - bound) & enclosing_locals)
             if captured:
                 self.effects.closures.append(
@@ -606,9 +559,8 @@ class _EffectsExtractor:
                 )
 
     # -- the walk ----------------------------------------------------------
-    def run(self, root: ast.AST) -> FunctionEffects:
-        own = _own_nodes(root)
-        parents = _parent_map(own)
+    def run(self, function: FunctionScope) -> FunctionEffects:
+        own, parents = function.own, function.parents
         # Pass 1: global declarations (they affect later classification).
         for node in own:
             if isinstance(node, ast.Global):
@@ -631,105 +583,20 @@ class _EffectsExtractor:
                     self._handle_assign_target(target, None, "del")
             elif isinstance(node, ast.Call):
                 self._handle_call(node, parents)
-        self._collect_mutable_defaults(root)
-        self._collect_closures(root, own)
+        self._collect_mutable_defaults(function.node)
+        self._collect_closures(function)
         return self.effects
 
 
-def extract_effects(
-    display_path: str,
-    module: str,
-    source: str,
-    tree: Optional[ast.Module] = None,
-) -> EffectFileSummary:
-    """Summarize one file.  Pure function of (path, module, source)."""
-    if tree is None:
-        tree = ast.parse(source, filename=display_path)
-    aliases = build_aliases(tree, module)
-    local_defs = {
-        n.name
-        for n in tree.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    module_globals = set(local_defs)
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            module_globals |= {
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            }
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            module_globals.add(node.target.id)
-    resolver = _NameResolver(module, aliases, local_defs)
-    prefix = module or display_path
-    summary = EffectFileSummary(path=display_path, module=module)
-
-    def param_names_of(node: ast.AST, is_method: bool) -> List[str]:
-        args = node.args
-        names = [
-            a.arg
-            for a in (
-                list(args.posonlyargs)
-                + list(args.args)
-                + list(args.kwonlyargs)
-                + ([args.vararg] if args.vararg else [])
-                + ([args.kwarg] if args.kwarg else [])
-            )
-        ]
-        if is_method and names and names[0] in ("self", "cls"):
-            names = names[1:]
-        return names
-
-    def summarize_function(
-        node: ast.AST, qual_prefix: str, class_ctx: str
-    ) -> None:
-        is_method = bool(class_ctx) and qual_prefix == class_ctx
-        extractor = _EffectsExtractor(
-            resolver,
-            f"{qual_prefix}.{node.name}",
-            node,
-            param_names_of(node, is_method),
-            is_method,
-            class_ctx,
-            module_globals,
-        )
-        summary.functions.append(extractor.run(node))
-        for child in ast.walk(node):
-            if child is node:
-                continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _encloses_directly(node, child):
-                    summarize_function(
-                        child, f"{qual_prefix}.{node.name}", class_ctx
-                    )
-
-    def _encloses_directly(outer: ast.AST, inner: ast.AST) -> bool:
-        stack: List[ast.AST] = list(ast.iter_child_nodes(outer))
-        while stack:
-            node = stack.pop()
-            if node is inner:
-                return True
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-        return False
-
-    module_extractor = _EffectsExtractor(
-        resolver, f"{prefix}.<module>", None, [], False, "", module_globals
-    )
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summarize_function(node, prefix, "")
-        elif isinstance(node, ast.ClassDef):
-            class_qual = f"{prefix}.{node.name}"
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    summarize_function(item, class_qual, class_qual)
-        else:
-            parents = _parent_map([node] + _own_nodes(node))
-            for sub in [node] + _own_nodes(node):
-                if isinstance(sub, ast.Call):
-                    module_extractor._handle_call(sub, parents)
+def summarize_effects(scope: FileScope) -> EffectFileSummary:
+    """One file's direct effect facts, from its shared scope."""
+    summary = EffectFileSummary(path=scope.path, module=scope.module)
+    for function in scope.walk(breadth_first=True):
+        summary.functions.append(_EffectsExtractor(scope, function).run(function))
+    module_extractor = _EffectsExtractor(scope, scope.body)
+    for own, parents in scope.body.statements:
+        for sub in own:
+            if isinstance(sub, ast.Call):
+                module_extractor._handle_call(sub, parents)
     summary.functions.append(module_extractor.effects)
     return summary

@@ -1,167 +1,35 @@
-"""Orchestration for the effects layer: summarize, link, infer, check.
+"""The effects layer's entry point: RL016-RL019 and the kernel-readiness
+report over the linked program's inferred signatures.
 
-Mirrors :mod:`repro.lint.dataflow.run`.  The effects pass needs the
-dataflow linker's :class:`~repro.lint.dataflow.linker.Program` for
-alias chasing and call edges; it builds one from the dataflow summary
-cache (warm after any dataflow pass over the same sources, since both
-layers share one cache directory with disjoint key namespaces), then
-extracts/loads its own :class:`~repro.lint.effects.model.
-EffectFileSummary` per file through the effects cache.  Only the
-effects-layer cache traffic is reported in :class:`EffectsStats`, so
-CI's 100%-warm-hit assertion checks this layer specifically.
+Facts loading, linking, signature inference and finding location are
+shared with the other interprocedural layers (:mod:`repro.lint.facts`,
+:mod:`repro.lint.interproc`); this is the layer-specific step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.lint.dataflow.cache import SummaryCache
-from repro.lint.dataflow.linker import Program
-from repro.lint.dataflow.run import FileEntry, summarize_files
-from repro.lint.effects.cache import EffectsCache, effects_key
-from repro.lint.effects.extract import extract_effects
-from repro.lint.effects.infer import (
-    EffectsProgram,
-    infer_signatures,
-)
-from repro.lint.effects.model import EffectFileSummary
 from repro.lint.effects.report import build_report, hot_closure
 from repro.lint.effects.rules import check_effects
-from repro.lint.findings import Finding, sort_findings
-
-
-@dataclass
-class EffectsStats:
-    """What one effects pass did (surfaced by the CLI and CI)."""
-
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Functions in the hot-path closure of the readiness report.
-    hot_functions: int = 0
-
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-
-def summarize_effects(
-    entries: Iterable[FileEntry], cache: EffectsCache
-) -> List[EffectFileSummary]:
-    summaries: List[EffectFileSummary] = []
-    for display_path, module, source, tree in entries:
-        key = effects_key(source, module, display_path)
-        summary = cache.get(key)
-        if summary is None:
-            try:
-                summary = extract_effects(display_path, module, source, tree)
-            except SyntaxError:
-                continue  # the engine reports parse errors separately
-            cache.put(key, summary)
-        summaries.append(summary)
-    return summaries
-
-
-def _locate(
-    findings: Sequence[Finding], entries: Sequence[FileEntry]
-) -> List[Finding]:
-    """Fill ``source_line`` so suppression/baseline fingerprints work."""
-    lines_by_path = {
-        display_path: source.splitlines()
-        for display_path, _, source, _ in entries
-    }
-    located: List[Finding] = []
-    for finding in findings:
-        lines = lines_by_path.get(finding.path, [])
-        source_line = (
-            lines[finding.line - 1] if 1 <= finding.line <= len(lines) else ""
-        )
-        located.append(
-            Finding(
-                rule_id=finding.rule_id,
-                severity=finding.severity,
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                message=finding.message,
-                fix_hint=finding.fix_hint,
-                source_line=source_line,
-            )
-        )
-    return located
+from repro.lint.findings import Finding
+from repro.lint.interproc import Linked
 
 
 def run_effects(
-    entries: Sequence[FileEntry],
-    cache_dir: Optional[Path] = None,
+    linked: Linked,
     rule_ids: Optional[Set[str]] = None,
     critical_modules: Optional[Set[str]] = None,
-    program: Optional[Program] = None,
-) -> Tuple[List[Finding], EffectsStats, Dict[str, Any]]:
-    """Run the effects layer over ``entries``.
-
-    Returns ``(findings, stats, report)`` where ``report`` is the
-    kernel-readiness report dict (see :mod:`~repro.lint.effects.report`).
-    ``program`` may be passed when the caller already linked one; by
-    default the dataflow summaries are (re)loaded through the shared
-    cache, which is cheap on any non-cold run.
-    """
-    if program is None:
-        dataflow_cache = SummaryCache(cache_dir)
-        program = Program(summarize_files(entries, dataflow_cache))
-    cache = EffectsCache(cache_dir)
-    summaries = summarize_effects(entries, cache)
-    effects_program = EffectsProgram(program, summaries)
-    sigs = infer_signatures(effects_program)
-    hot = hot_closure(effects_program)
+) -> Tuple[List[Finding], Dict[str, Any]]:
+    """``(findings, report)``: the selected effect rules' findings and
+    the kernel-readiness report (see :mod:`~repro.lint.effects.report`)."""
+    effects_program = linked.effects_program
+    sigs = linked.signatures
     findings = check_effects(
         effects_program,
         sigs,
-        hot,
+        hot_closure(effects_program),
         rule_ids=rule_ids,
         critical_modules=critical_modules,
     )
-    report = build_report(effects_program, sigs)
-    stats = EffectsStats(
-        files=len(summaries),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        hot_functions=len(report["hot_functions"]),
-    )
-    return sort_findings(_locate(findings, entries)), stats, report
-
-
-def analyze_effects(
-    paths: Sequence[Path],
-    cache_dir: Optional[Path] = None,
-    rule_ids: Optional[Set[str]] = None,
-    repo_root: Optional[Path] = None,
-    critical_modules: Optional[Set[str]] = None,
-) -> Tuple[List[Finding], EffectsStats, Dict[str, Any]]:
-    """Standalone effects run: discover, read, summarize, check.
-
-    Trees are passed as None, so both extraction layers parse each file
-    only on a cache miss — warm runs skip the parse and every AST walk,
-    which is what the warm-vs-cold timing test measures.
-    """
-    # Imported here: engine imports this package, not the reverse.
-    from repro.lint.engine import _display_path, discover_files
-    from repro.lint.imports import module_name_for
-
-    entries: List[FileEntry] = []
-    for path in discover_files([Path(p) for p in paths]):
-        display = _display_path(path, repo_root)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        module = module_name_for(path) or ""
-        entries.append((display, module, source, None))
-    return run_effects(
-        entries,
-        cache_dir=cache_dir,
-        rule_ids=rule_ids,
-        critical_modules=critical_modules,
-    )
+    return findings, build_report(effects_program, sigs)

@@ -61,40 +61,27 @@ def render_json(result: LintResult) -> str:
             {"path": path, "line": line, "token": token}
             for path, line, token in result.suppression_errors
         ],
-        "dataflow": (
-            {
-                "files": result.dataflow_stats.files,
-                "cache_hits": result.dataflow_stats.cache_hits,
-                "cache_misses": result.dataflow_stats.cache_misses,
-                "cache_hit_rate": round(result.dataflow_stats.hit_rate(), 4),
-            }
-            if result.dataflow_stats is not None
-            else None
-        ),
-        "effects": (
-            {
-                "files": result.effects_stats.files,
-                "cache_hits": result.effects_stats.cache_hits,
-                "cache_misses": result.effects_stats.cache_misses,
-                "cache_hit_rate": round(result.effects_stats.hit_rate(), 4),
-                "hot_functions": result.effects_stats.hot_functions,
-            }
-            if result.effects_stats is not None
-            else None
-        ),
-        "races": (
-            {
-                "files": result.races_stats.files,
-                "cache_hits": result.races_stats.cache_hits,
-                "cache_misses": result.races_stats.cache_misses,
-                "cache_hit_rate": round(result.races_stats.hit_rate(), 4),
-                "members": result.races_stats.members,
-                "pairs": result.races_stats.pairs,
-            }
-            if result.races_stats is not None
-            else None
-        ),
     }
+    for layer, stats in (
+        ("dataflow", result.dataflow_stats),
+        ("effects", result.effects_stats),
+        ("races", result.races_stats),
+    ):
+        payload[layer] = None if stats is None else {
+            "files": stats.files,
+            "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "cache_hit_rate": round(stats.hit_rate(), 4),
+        }
+    # A layer's report is set exactly when its stats are.
+    if result.effects_report is not None:
+        payload["effects"]["hot_functions"] = len(
+            result.effects_report["hot_functions"]
+        )
+    if result.races_report is not None:
+        summary = result.races_report["summary"]
+        payload["races"]["members"] = summary["members"]
+        payload["races"]["pairs"] = summary["pairs"]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -10,30 +10,25 @@ writes in an order set only by insertion accidents.  The layer finds
 those handler pairs statically and checks their shared accesses for
 non-commutative collisions.
 
-Layer map (each file-local product is content-hash cached):
+Layer map (the file-local product is cached in :mod:`repro.lint.facts`):
 
 - :mod:`model` — :class:`RaceFileSummary`, the cached per-file facts;
 - :mod:`extract` — one file's AST -> yield-segmented access summary;
-- :mod:`cache` — the on-disk races-summary store;
 - :mod:`hb` — whole-program may-co-schedule relation + shared keys;
 - :mod:`rules` — RL021-RL024 over the joined model;
 - :mod:`report` — the ranked cohort-conflict report / sanitizer model;
-- :mod:`run` — orchestration (engine path + standalone);
+- :mod:`run` — the layer's entry point, :func:`run.run_races`;
 - :mod:`sanitizer` — the runtime cohort sanitizer (RL025).
 """
 
 from __future__ import annotations
 
 from repro.lint.races.rules import RACES_RULE_IDS, races_catalog
-from repro.lint.races.run import RacesStats, analyze_races, run_races
 from repro.lint.races.sanitizer import CohortSanitizer, get_sanitizer
 
 __all__ = [
     "RACES_RULE_IDS",
     "CohortSanitizer",
-    "RacesStats",
-    "analyze_races",
     "get_sanitizer",
     "races_catalog",
-    "run_races",
 ]

@@ -1,12 +1,12 @@
-"""Reduce one parsed file to a :class:`RaceFileSummary`.
+"""Reduce one file's scope to a :class:`RaceFileSummary`.
 
-Same contract as the dataflow/effects extractors it reuses helpers
-from: extraction is file-local (a pure function of path, module and
-source, so the result can be content-hash cached), and the precision
-stance is *prefer silence over guessing* — an access on a plain local
-is not shared state, an unresolvable callback produces a registration
-with an empty target, a computed delay is ``unknown`` rather than a
-guessed coincidence class.
+Same contract as the dataflow and effects extractors, over the same
+:class:`~repro.lint.scope.FileScope`: extraction is file-local (a pure
+function of path, module and source, so the result can be
+content-hash cached), and the precision stance is *prefer silence over
+guessing* — an access on a plain local is not shared state, an
+unresolvable callback produces a registration with an empty target, a
+computed delay is ``unknown`` rather than a guessed coincidence class.
 
 What is collected per function:
 
@@ -26,25 +26,18 @@ Nested ``def``s (the ``spawn_kv_faults``-style ``_process`` idiom) are
 summarized as their own functions; names they capture from the
 enclosing scope are classified as param-kind shared state, because a
 closure over an enclosing function's parameter aliases exactly what
-that parameter aliases.
+that parameter aliases.  Which defs are summarized, and in what
+order, is the scope's call (see :mod:`repro.lint.scope`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.lint.dataflow.extract import (
-    _NameResolver,
-    _own_nodes,
-    _parent_map,
-    _snippet,
-    build_aliases,
-)
 from repro.lint.effects.extract import (
     MUTATING_METHOD_TAILS,
     _float_evidence,
-    _names_stored,
     _target_root,
     classify_iter,
 )
@@ -73,6 +66,13 @@ from repro.lint.races.model import (
     USE_VALUE,
 )
 from repro.lint.rules.base import dotted_name
+from repro.lint.scope import (
+    FileScope,
+    FunctionScope,
+    ModuleBody,
+    loop_of,
+    snippet,
+)
 
 #: Yielded command constructors that mark a generator as a sim process.
 SIM_COMMAND_TAILS: Set[str] = {"Timeout", "Wait", "Acquire", "Release"}
@@ -175,7 +175,7 @@ def _delay_class(node: Optional[ast.AST]) -> str:
             return "zero"
         return f"const:{float(node.value)!r}"
     if isinstance(node, (ast.Name, ast.Attribute)):
-        return f"name:{_snippet(node)}"
+        return f"name:{snippet(node)}"
     return "unknown"
 
 
@@ -203,36 +203,30 @@ class _RacesExtractor:
     """Collects access + registration facts for one function body."""
 
     def __init__(
-        self,
-        resolver: _NameResolver,
-        qualname: str,
-        node: Optional[ast.AST],
-        param_names: Sequence[str],
-        is_method: bool,
-        class_ctx: str,
-        module_globals: Set[str],
-        local_defs: Set[str],
-        closure_names: Optional[Set[str]] = None,
-        nested_defs: Optional[Dict[str, str]] = None,
+        self, scope: FileScope, function: Union[FunctionScope, ModuleBody]
     ) -> None:
-        self.resolver = resolver
-        self.class_ctx = class_ctx
-        self.param_names = set(param_names)
-        self.closure_names = set(closure_names or ())
-        self.module_globals = module_globals
+        self.resolver = scope.resolver
+        self.class_ctx = function.class_ctx
+        self.param_names = set(function.params)
+        #: What a nested def captures from its enclosers — param-kind
+        #: shared state (see module docstring).
+        self.closure_names = (
+            set(function.parent.captures) if function.parent else set()
+        )
+        self.module_globals = scope.module_globals
         #: Module-level *data* names (defs excluded) — read targets.
-        self.data_globals = module_globals - local_defs
-        self.nested_defs = dict(nested_defs or {})
+        self.data_globals = scope.module_globals - scope.local_defs
+        self.nested_defs = {c.node.name: c.qualname for c in function.children}
         self.global_decls: Set[str] = set()
         self.segment = 0
         #: (lineno, col) of extremum-fold guard reads to suppress.
         self._fold_guards: Set[Tuple[int, int]] = set()
         self.fn = FunctionAccesses(
-            qualname=qualname,
-            lineno=getattr(node, "lineno", 0) if node is not None else 0,
-            col=getattr(node, "col_offset", 0) if node is not None else 0,
-            is_method=is_method,
-            class_ctx=class_ctx,
+            qualname=function.qualname,
+            lineno=getattr(function.node, "lineno", 0),
+            col=getattr(function.node, "col_offset", 0),
+            is_method=function.is_method,
+            class_ctx=function.class_ctx,
         )
 
     # -- classification ----------------------------------------------------
@@ -268,7 +262,7 @@ class _RacesExtractor:
                 kind=kind,
                 root=root,
                 head=head,
-                target=_snippet(target),
+                target=snippet(target),
                 lineno=getattr(target, "lineno", 0),
                 col=getattr(target, "col_offset", 0),
                 segment=self.segment,
@@ -290,7 +284,7 @@ class _RacesExtractor:
                 kind=kind,
                 root=root,
                 head=head,
-                target=_snippet(node),
+                target=snippet(node),
                 lineno=getattr(node, "lineno", 0),
                 col=getattr(node, "col_offset", 0),
                 segment=self.segment,
@@ -300,18 +294,6 @@ class _RacesExtractor:
             )
         )
 
-    # -- loop context ------------------------------------------------------
-    @staticmethod
-    def _loop_of(
-        node: ast.AST, parents: Dict[ast.AST, ast.AST]
-    ) -> Optional[ast.For]:
-        current = parents.get(node)
-        while current is not None:
-            if isinstance(current, ast.For):
-                return current
-            current = parents.get(current)
-        return None
-
     # -- extremum folds ----------------------------------------------------
     def _extremum_fold(
         self,
@@ -320,12 +302,12 @@ class _RacesExtractor:
         parents: Dict[ast.AST, ast.AST],
     ) -> bool:
         """``x = max(x, v)`` or ``if v > x: x = v``."""
-        target_text = _snippet(target)
+        target_text = snippet(target)
         value = node.value
         if (
             isinstance(value, ast.Call)
             and dotted_name(value.func).split(".")[-1] in ("max", "min")
-            and any(_snippet(arg) == target_text for arg in value.args)
+            and any(snippet(arg) == target_text for arg in value.args)
         ):
             return True
         current = parents.get(node)
@@ -336,9 +318,9 @@ class _RacesExtractor:
             if len(test.ops) == 1 and isinstance(
                 test.ops[0], (ast.Gt, ast.GtE, ast.Lt, ast.LtE)
             ):
-                value_text = _snippet(value)
+                value_text = snippet(value)
                 sides = [test.left, test.comparators[0]]
-                texts = [_snippet(s) for s in sides]
+                texts = [snippet(s) for s in sides]
                 if target_text in texts and value_text in texts:
                     for side, text in zip(sides, texts):
                         if text == target_text:
@@ -413,19 +395,19 @@ class _RacesExtractor:
         """``d[k] = ...``: a reduction in disguise, or a key insert."""
         if not isinstance(node, ast.Assign):
             return False, ORDERED_DICT
-        base_text = _snippet(target.value)
+        base_text = snippet(target.value)
         reads_base = False
         has_add = False
         for sub in ast.walk(node.value):
             if isinstance(sub, ast.BinOp) and isinstance(sub.op, (ast.Add, ast.Sub)):
                 has_add = True
-            if isinstance(sub, ast.Subscript) and _snippet(sub.value) == base_text:
+            if isinstance(sub, ast.Subscript) and snippet(sub.value) == base_text:
                 reads_base = True
             elif (
                 isinstance(sub, ast.Call)
                 and isinstance(sub.func, ast.Attribute)
                 and sub.func.attr == "get"
-                and _snippet(sub.func.value) == base_text
+                and snippet(sub.func.value) == base_text
             ):
                 reads_base = True
         if reads_base and has_add:
@@ -502,7 +484,7 @@ class _RacesExtractor:
         """
         if tail == "interrupt":
             return True
-        text = _snippet(node.func.value)  # type: ignore[union-attr]
+        text = snippet(node.func.value)  # type: ignore[union-attr]
         return (
             text in ("sim", "self", "cls")
             or text.endswith(".sim")
@@ -539,13 +521,11 @@ class _RacesExtractor:
                 target_node = self._call_arg(node, None, "callback")
             if target_node is not None:
                 target = self._resolve_callable(target_node)
-                target_text = _snippet(target_node)
+                target_text = snippet(target_node)
         elif op == "interrupt" and isinstance(node.func, ast.Attribute):
-            target_text = _snippet(node.func.value)
-        loop = self._loop_of(node, parents)
-        loop_order, loop_text = ("", "")
-        if loop is not None:
-            loop_order, loop_text = classify_iter(loop.iter)
+            target_text = snippet(node.func.value)
+        loop = loop_of(node, parents)
+        loop_order, loop_text = classify_iter(loop.iter) if loop else ("", "")
         self.fn.registrations.append(
             Registration(
                 op=op,
@@ -636,9 +616,8 @@ class _RacesExtractor:
         self._add_read(container, root, head, USE_ITERATION, iter_order=order)
 
     # -- the walk ----------------------------------------------------------
-    def run(self, root: ast.AST) -> FunctionAccesses:
-        own = _own_nodes(root)
-        parents = _parent_map(own)
+    def run(self, function: FunctionScope) -> FunctionAccesses:
+        own, parents = function.own, function.parents
         for node in own:
             if isinstance(node, ast.Global):
                 self.global_decls |= set(node.names)
@@ -652,16 +631,16 @@ class _RacesExtractor:
                         self.fn.is_sim_process = True
                     if tail == "Timeout":
                         delay_node = value.args[0] if value.args else None
-                        loop = self._loop_of(node, parents)
-                        loop_order, loop_text = ("", "")
-                        if loop is not None:
-                            loop_order, loop_text = classify_iter(loop.iter)
+                        loop = loop_of(node, parents)
+                        loop_order, loop_text = (
+                            classify_iter(loop.iter) if loop else ("", "")
+                        )
                         self.fn.registrations.append(
                             Registration(
                                 op="timeout",
                                 delay_class=_delay_class(delay_node),
                                 target=self.fn.qualname,
-                                target_text=_snippet(value),
+                                target_text=snippet(value),
                                 lineno=node.lineno,
                                 col=node.col_offset,
                                 segment=self.segment,
@@ -700,121 +679,18 @@ class _RacesExtractor:
         return self.fn
 
 
-def extract_accesses(
-    display_path: str,
-    module: str,
-    source: str,
-    tree: Optional[ast.Module] = None,
-) -> RaceFileSummary:
-    """Summarize one file.  Pure function of (path, module, source)."""
-    if tree is None:
-        tree = ast.parse(source, filename=display_path)
-    aliases = build_aliases(tree, module)
-    local_defs = {
-        n.name
-        for n in tree.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    }
-    module_globals = set(local_defs)
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            module_globals |= {
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            }
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            module_globals.add(node.target.id)
-    resolver = _NameResolver(module, aliases, local_defs)
-    prefix = module or display_path
-    summary = RaceFileSummary(path=display_path, module=module)
-
-    def param_names_of(node: ast.AST, is_method: bool) -> List[str]:
-        args = node.args
-        names = [
-            a.arg
-            for a in (
-                list(args.posonlyargs)
-                + list(args.args)
-                + list(args.kwonlyargs)
-                + ([args.vararg] if args.vararg else [])
-                + ([args.kwarg] if args.kwarg else [])
-            )
-        ]
-        if is_method and names and names[0] in ("self", "cls"):
-            names = names[1:]
-        return names
-
-    def _direct_children(node: ast.AST) -> List[ast.AST]:
-        found: List[ast.AST] = []
-        stack: List[ast.AST] = list(ast.iter_child_nodes(node))
-        while stack:
-            child = stack.pop()
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.append(child)
-                continue
-            if isinstance(child, (ast.Lambda, ast.ClassDef)):
-                continue
-            stack.extend(ast.iter_child_nodes(child))
-        return sorted(found, key=lambda n: (n.lineno, n.col_offset))
-
-    def summarize_function(
-        node: ast.AST,
-        qual_prefix: str,
-        class_ctx: str,
-        closure_names: Set[str],
-    ) -> None:
-        is_method = bool(class_ctx) and qual_prefix == class_ctx
-        qualname = f"{qual_prefix}.{node.name}"
-        params = param_names_of(node, is_method)
-        children = _direct_children(node)
-        nested_defs = {c.name: f"{qualname}.{c.name}" for c in children}
-        extractor = _RacesExtractor(
-            resolver,
-            qualname,
-            node,
-            params,
-            is_method,
-            class_ctx,
-            module_globals,
-            local_defs,
-            closure_names=closure_names,
-            nested_defs=nested_defs,
-        )
-        summary.functions.append(extractor.run(node))
-        # Names a directly-nested def can capture: our params plus any
-        # local stores in our own body (closure aliasing — see module
-        # docstring).
-        inner_closure = set(params) | set(closure_names)
-        for own_node in _own_nodes(node):
-            inner_closure |= _names_stored(own_node)
-        for child in children:
-            summarize_function(child, qualname, class_ctx, inner_closure)
-
-    module_extractor = _RacesExtractor(
-        resolver,
-        f"{prefix}.<module>",
-        None,
-        [],
-        False,
-        "",
-        module_globals,
-        local_defs,
-    )
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summarize_function(node, prefix, "", set())
-        elif isinstance(node, ast.ClassDef):
-            class_qual = f"{prefix}.{node.name}"
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    summarize_function(item, class_qual, class_qual, set())
-        else:
-            own = [node] + _own_nodes(node)
-            parents = _parent_map(own)
-            for sub in own:
-                if isinstance(sub, ast.Call):
-                    raw = dotted_name(sub.func)
-                    tail = raw.split(".")[-1] if raw else ""
-                    if isinstance(sub.func, ast.Attribute) and tail in _REGISTRATION_TAILS:
-                        module_extractor._handle_registration(sub, tail, parents)
+def summarize_accesses(scope: FileScope) -> RaceFileSummary:
+    """One file's access + registration facts, from its shared scope."""
+    summary = RaceFileSummary(path=scope.path, module=scope.module)
+    for function in scope.walk():
+        summary.functions.append(_RacesExtractor(scope, function).run(function))
+    module_extractor = _RacesExtractor(scope, scope.body)
+    for own, parents in scope.body.statements:
+        for sub in own:
+            if isinstance(sub, ast.Call):
+                raw = dotted_name(sub.func)
+                tail = raw.split(".")[-1] if raw else ""
+                if isinstance(sub.func, ast.Attribute) and tail in _REGISTRATION_TAILS:
+                    module_extractor._handle_registration(sub, tail, parents)
     summary.functions.append(module_extractor.fn)
     return summary

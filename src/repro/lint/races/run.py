@@ -1,169 +1,33 @@
-"""Orchestration for the races layer: summarize, join, pair, check.
+"""The races layer's entry point: RL021-RL024 and the cohort-conflict
+report over the linked program.
 
-Mirrors :mod:`repro.lint.effects.run`.  The races pass needs the
-dataflow linker's :class:`~repro.lint.dataflow.linker.Program` (alias
-chasing, call edges, call-site argument binding for param aliasing)
-and the effects layer's inferred signatures (through-call reach for
-RL023/RL024); both are built from the shared summary caches, which
-are warm after any dataflow/effects pass over the same sources.  Only
-the races-layer cache traffic is reported in :class:`RacesStats`, so
-CI's 100%-warm-hit assertion checks this layer specifically.
+Facts loading, linking, the effect signatures RL023/RL024 reach through
+and finding location are shared with the other interprocedural layers
+(:mod:`repro.lint.facts`, :mod:`repro.lint.interproc`); this is the
+layer-specific step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.lint.dataflow.cache import SummaryCache
-from repro.lint.dataflow.linker import Program
-from repro.lint.dataflow.run import FileEntry, summarize_files
-from repro.lint.effects.cache import EffectsCache
-from repro.lint.effects.infer import EffectsProgram, infer_signatures
-from repro.lint.effects.run import summarize_effects
-from repro.lint.findings import Finding, sort_findings
-from repro.lint.races.cache import RacesCache, races_key
-from repro.lint.races.extract import extract_accesses
-from repro.lint.races.hb import RacesProgram
-from repro.lint.races.model import RaceFileSummary
+from repro.lint.findings import Finding
+from repro.lint.interproc import Linked
 from repro.lint.races.report import build_report
 from repro.lint.races.rules import check_races
 
 
-@dataclass
-class RacesStats:
-    """What one races pass did (surfaced by the CLI and CI)."""
-
-    files: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Cohort-concurrent members in the joined model.
-    members: int = 0
-    #: May-co-schedule pairs (all evidence strengths).
-    pairs: int = 0
-
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-
-def summarize_accesses(
-    entries: Iterable[FileEntry], cache: RacesCache
-) -> List[RaceFileSummary]:
-    summaries: List[RaceFileSummary] = []
-    for display_path, module, source, tree in entries:
-        key = races_key(source, module, display_path)
-        summary = cache.get(key)
-        if summary is None:
-            try:
-                summary = extract_accesses(display_path, module, source, tree)
-            except SyntaxError:
-                continue  # the engine reports parse errors separately
-            cache.put(key, summary)
-        summaries.append(summary)
-    return summaries
-
-
-def _locate(
-    findings: Sequence[Finding], entries: Sequence[FileEntry]
-) -> List[Finding]:
-    """Fill ``source_line`` so suppression/baseline fingerprints work."""
-    lines_by_path = {
-        display_path: source.splitlines()
-        for display_path, _, source, _ in entries
-    }
-    located: List[Finding] = []
-    for finding in findings:
-        lines = lines_by_path.get(finding.path, [])
-        source_line = (
-            lines[finding.line - 1] if 1 <= finding.line <= len(lines) else ""
-        )
-        located.append(
-            Finding(
-                rule_id=finding.rule_id,
-                severity=finding.severity,
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                message=finding.message,
-                fix_hint=finding.fix_hint,
-                source_line=source_line,
-            )
-        )
-    return located
-
-
 def run_races(
-    entries: Sequence[FileEntry],
-    cache_dir: Optional[Path] = None,
+    linked: Linked,
     rule_ids: Optional[Set[str]] = None,
     critical_modules: Optional[Set[str]] = None,
-    program: Optional[Program] = None,
-) -> Tuple[List[Finding], RacesStats, Dict[str, Any]]:
-    """Run the races layer over ``entries``.
-
-    Returns ``(findings, stats, report)`` where ``report`` is the
-    cohort-conflict report dict (see :mod:`~repro.lint.races.report`).
-    ``program`` may be passed when the caller already linked one; by
-    default the dataflow summaries are (re)loaded through the shared
-    cache, which is cheap on any non-cold run.
-    """
-    if program is None:
-        dataflow_cache = SummaryCache(cache_dir)
-        program = Program(summarize_files(entries, dataflow_cache))
-    cache = RacesCache(cache_dir)
-    summaries = summarize_accesses(entries, cache)
-    races_program = RacesProgram(program, summaries)
-    # Effect signatures give RL023/RL024 their through-call reach.
-    effect_summaries = summarize_effects(entries, EffectsCache(cache_dir))
-    sigs = infer_signatures(EffectsProgram(program, effect_summaries))
+) -> Tuple[List[Finding], Dict[str, Any]]:
+    """``(findings, report)``: the selected race rules' findings and the
+    cohort-conflict report (see :mod:`~repro.lint.races.report`)."""
     findings = check_races(
-        races_program,
-        sigs,
+        linked.races_program,
+        linked.signatures,
         rule_ids=rule_ids,
         critical_modules=critical_modules,
     )
-    report = build_report(races_program)
-    stats = RacesStats(
-        files=len(summaries),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
-        members=report["summary"]["members"],
-        pairs=report["summary"]["pairs"],
-    )
-    return sort_findings(_locate(findings, entries)), stats, report
-
-
-def analyze_races(
-    paths: Sequence[Path],
-    cache_dir: Optional[Path] = None,
-    rule_ids: Optional[Set[str]] = None,
-    repo_root: Optional[Path] = None,
-    critical_modules: Optional[Set[str]] = None,
-) -> Tuple[List[Finding], RacesStats, Dict[str, Any]]:
-    """Standalone races run: discover, read, summarize, check.
-
-    Trees are passed as None, so every extraction layer parses each
-    file only on a cache miss — warm runs skip the parse and every AST
-    walk, which is what the warm-vs-cold timing test measures.
-    """
-    # Imported here: engine imports this package, not the reverse.
-    from repro.lint.engine import _display_path, discover_files
-    from repro.lint.imports import module_name_for
-
-    entries: List[FileEntry] = []
-    for path in discover_files([Path(p) for p in paths]):
-        display = _display_path(path, repo_root)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-        module = module_name_for(path) or ""
-        entries.append((display, module, source, None))
-    return run_races(
-        entries,
-        cache_dir=cache_dir,
-        rule_ids=rule_ids,
-        critical_modules=critical_modules,
-    )
+    return findings, build_report(linked.races_program)

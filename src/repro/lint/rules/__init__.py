@@ -71,7 +71,7 @@ def split_selection(
 
     Returns ``(per_file_rule_classes, interprocedural_rule_ids)``; the
     second element mixes dataflow (RL012-RL015), effects (RL016-RL019)
-    and races (RL021-RL025) ids — the CLI partitions it by family.
+    and races (RL021-RL025) ids — a layer runs iff one of its ids is in it.
     Unknown ids in either list raise ``ValueError`` — a typo'd
     ``--select RL013`` silently matching nothing would defeat the
     point of selecting.

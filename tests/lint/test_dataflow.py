@@ -7,11 +7,16 @@ import textwrap
 from pathlib import Path
 
 from repro.lint import lint_paths
-from repro.lint.dataflow import analyze_tree
-from repro.lint.dataflow.extract import extract_summary
+from repro.lint.dataflow import DATAFLOW_RULE_IDS
 from repro.lint.dataflow.linker import Program
 from repro.lint.dataflow.model import FileSummary
 from repro.lint.dataflow.rules import check_program
+from repro.lint.engine import INTERPROCEDURAL_RULE_IDS, analyze
+from repro.lint.facts import extract_facts
+
+DATAFLOW = set(DATAFLOW_RULE_IDS)
+#: Every interprocedural rule but the dataflow ones (``--no-dataflow``).
+NO_DATAFLOW = INTERPROCEDURAL_RULE_IDS - DATAFLOW
 
 
 def write(tmp_path: Path, relpath: str, source: str) -> Path:
@@ -203,7 +208,7 @@ class TestRL013BaseConflicts:
                 return reserved_bytes() + 4 * GB
             """,
         )
-        per_file_only = lint_paths([tmp_path], repo_root=tmp_path, dataflow=False)
+        per_file_only = lint_paths([tmp_path], repo_root=tmp_path, rule_ids=NO_DATAFLOW)
         assert per_file_only.new == []
         with_dataflow = lint_paths([tmp_path], repo_root=tmp_path)
         assert [f.rule_id for f in with_dataflow.new] == ["RL013"]
@@ -300,7 +305,7 @@ class TestRL014SeedProvenance:
                 return make_rng()
             """,
         )
-        per_file_only = lint_paths([tmp_path], repo_root=tmp_path, dataflow=False)
+        per_file_only = lint_paths([tmp_path], repo_root=tmp_path, rule_ids=NO_DATAFLOW)
         assert per_file_only.new == []
         with_dataflow = lint_paths([tmp_path], repo_root=tmp_path)
         assert [f.rule_id for f in with_dataflow.new] == ["RL014"]
@@ -472,7 +477,7 @@ class TestEngineIntegration:
             """,
         )
         result = lint_paths(
-            [tmp_path], repo_root=tmp_path, dataflow_rule_ids={"RL013"}
+            [tmp_path], repo_root=tmp_path, rule_ids={"RL013"}
         )
         assert [f.rule_id for f in result.new] == ["RL013"]
 
@@ -502,14 +507,14 @@ class TestEngineIntegration:
             [tmp_path],
             rule_classes=classes,
             repo_root=tmp_path,
-            dataflow_rule_ids=dataflow_ids,
+            rule_ids=dataflow_ids,
         )
         # RL003 would fire on random.random() if per-file rules ran.
         assert [f.rule_id for f in result.new] == ["RL013"]
 
     def test_dataflow_off_skips_pass(self, tmp_path):
         write(tmp_path, "repro/helpers.py", HELPERS)
-        result = lint_paths([tmp_path], repo_root=tmp_path, dataflow=False)
+        result = lint_paths([tmp_path], repo_root=tmp_path, rule_ids=NO_DATAFLOW)
         assert result.dataflow_stats is None
 
     def test_stats_surface_on_result(self, tmp_path):
@@ -537,8 +542,8 @@ class TestEngineIntegration:
                 return total, frac, window_s
             """,
         )
-        first, _ = analyze_tree([tmp_path], cache_dir=None, repo_root=tmp_path)
-        second, _ = analyze_tree([tmp_path], cache_dir=None, repo_root=tmp_path)
+        first = analyze([tmp_path], repo_root=tmp_path, rule_ids=DATAFLOW).new
+        second = analyze([tmp_path], repo_root=tmp_path, rule_ids=DATAFLOW).new
         assert [f.render() for f in first] == [f.render() for f in second]
         assert len(first) >= 3
 
@@ -562,7 +567,7 @@ class TestSummaryModel:
                 return total / duration_s
             """
         )
-        summary = extract_summary("repro/m.py", "repro.m", source)
+        summary = extract_facts("repro/m.py", "repro.m", source).dataflow
         payload = summary.to_json()
         restored = FileSummary.from_json(payload)
         assert restored == summary
@@ -587,8 +592,8 @@ class TestSummaryModel:
             """
         )
         summaries = [
-            extract_summary("repro/m.py", "repro.m", source),
-            extract_summary("repro/d.py", "repro.d", caller),
+            extract_facts("repro/m.py", "repro.m", source).dataflow,
+            extract_facts("repro/d.py", "repro.d", caller).dataflow,
         ]
         program = Program(summaries)
         findings = check_program(program)

@@ -12,21 +12,24 @@ import pytest
 
 from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
-from repro.lint.dataflow.extract import extract_summary
 from repro.lint.dataflow.linker import Program
-from repro.lint.effects import EFFECTS_RULE_IDS, analyze_effects
+from repro.lint.effects import EFFECTS_RULE_IDS
 from repro.lint.effects.contracts import (
     declared_pure,
     declared_pure_functions,
     is_declared_pure,
 )
-from repro.lint.effects.extract import classify_iter, extract_effects
+from repro.lint.effects.extract import classify_iter
 from repro.lint.effects.infer import (
     EffectsProgram,
     infer_signatures,
 )
 from repro.lint.effects.model import ITER_DICT, ITER_SET, ITER_SORTED
 from repro.lint.effects.report import build_report, hot_closure
+from repro.lint.engine import analyze, read_entries
+from repro.lint.facts import extract_facts, load_facts
+from repro.lint.interproc import Linked
+from repro.lint.output import render_json
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -47,9 +50,9 @@ def effects_findings(tmp_path, rule_id=None):
 
 def infer(source, module="repro.m", path="repro/m.py"):
     """Signatures of a one-file fixture, via the real extract+link path."""
-    src = textwrap.dedent(source)
-    program = Program([extract_summary(path, module, src)])
-    ep = EffectsProgram(program, [extract_effects(path, module, src)])
+    facts = extract_facts(path, module, textwrap.dedent(source))
+    program = Program([facts.dataflow])
+    ep = EffectsProgram(program, [facts.effects])
     return infer_signatures(ep)
 
 
@@ -249,13 +252,13 @@ class TestDeclaredPureMarker:
         assert g(3) == 3
 
     def test_static_extraction_sees_marker(self):
-        summary = extract_effects(
+        summary = extract_facts(
             "repro/m.py",
             "repro.m",
             "from repro.lint.effects.contracts import declared_pure\n"
             "@declared_pure\n"
             "def f(x):\n    return x\n",
-        )
+        ).effects
         (fn,) = [f for f in summary.functions if f.qualname.endswith(".f")]
         assert fn.declared_pure
 
@@ -331,9 +334,7 @@ class TestRL016:
         # silent, but an ungated standalone run still sees it.
         write(tmp_path, "repro/reportutil.py", RL016_TP)
         assert effects_findings(tmp_path, "RL016") == []
-        findings, _, _ = analyze_effects(
-            [tmp_path], cache_dir=None, repo_root=tmp_path
-        )
+        findings = analyze([tmp_path], repo_root=tmp_path).new
         assert [f for f in findings if f.rule_id == "RL016"]
 
     def test_suppression_pragma_applies(self, tmp_path):
@@ -482,36 +483,19 @@ class TestRL019:
 # The kernel-readiness report over the real tree
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def real_tree():
-    findings, stats, report = analyze_effects(
-        [REPO_ROOT / "src" / "repro"],
-        cache_dir=None,
-        repo_root=REPO_ROOT,
-    )
-    return findings, stats, report
+def real_tree(tree_analysis):
+    """(findings, report) of the ungated standalone run over the tree."""
+    cold = tree_analysis.cold
+    return cold.new, cold.effects_report
 
 
 @pytest.fixture(scope="module")
-def real_sigs():
+def real_sigs(tree_analysis):
     """Whole-program signatures for the real tree (all functions, not
-    just the hot closure)."""
-    from repro.lint.dataflow.cache import SummaryCache
-    from repro.lint.dataflow.run import summarize_files
-    from repro.lint.engine import _display_path, discover_files
-    from repro.lint.imports import module_name_for
-
-    entries = []
-    for path in discover_files([REPO_ROOT / "src" / "repro"]):
-        display = _display_path(path, REPO_ROOT)
-        source = path.read_text(encoding="utf-8")
-        module = module_name_for(path) or ""
-        entries.append((display, module, source, None))
-    program = Program(summarize_files(entries, SummaryCache(None)))
-    summaries = [
-        extract_effects(display, module, source)
-        for display, module, source, _ in entries
-    ]
-    return infer_signatures(EffectsProgram(program, summaries))
+    just the hot closure), linked from the session's warm facts."""
+    entries = read_entries([REPO_ROOT / "src" / "repro"], REPO_ROOT)
+    facts, _ = load_facts(entries, tree_analysis.cache_dir)
+    return Linked(facts, entries).signatures
 
 
 class TestRealTreeReport:
@@ -534,7 +518,7 @@ class TestRealTreeReport:
             assert not real_sigs[qualname].pure, qualname
 
     def test_report_covers_kernel_event_loop(self, real_tree):
-        _, _, report = real_tree
+        _, report = real_tree
         names = {e["qualname"] for e in report["hot_functions"]}
         # The event loop itself and what it reaches through dispatch.
         assert "repro.sim.kernel.Simulator.run" in names
@@ -542,32 +526,30 @@ class TestRealTreeReport:
         assert "repro.sim.events.EventQueue.pop" in names
         assert "repro.sim.events.EventQueue.push" in names
 
-    def test_report_is_ranked_and_summarized(self, real_tree):
-        _, stats, report = real_tree
+    def test_report_is_ranked_and_summarized(self, real_tree, tree_lint):
+        _, report = real_tree
+        stats = json.loads(render_json(tree_lint))["effects"]
         counts = [e["blocker_count"] for e in report["hot_functions"]]
         assert all(
             counts[i] >= counts[i + 1] for i in range(len(counts) - 1)
         )
         summary = report["summary"]
         assert summary["hot_functions"] == len(report["hot_functions"])
-        assert summary["hot_functions"] == stats.hot_functions
+        assert summary["hot_functions"] == stats["hot_functions"]
         # No blockers at all implies pure (the converse does not hold:
         # a pure generator still carries a ``yields`` blocker).
         for entry in report["hot_functions"]:
             if entry["blocker_count"] == 0:
                 assert entry["pure"], entry["qualname"]
 
-    def test_report_is_deterministic(self, real_tree):
-        _, _, first = real_tree
-        _, _, second = analyze_effects(
-            [REPO_ROOT / "src" / "repro"],
-            cache_dir=None,
-            repo_root=REPO_ROOT,
-        )
-        assert first == second
+    def test_report_is_deterministic(self, real_tree, tree_lint):
+        # Two independent cold runs: the standalone analysis and the
+        # engine's full lint.
+        _, first = real_tree
+        assert first == tree_lint.effects_report
 
     def test_repo_lints_clean_of_new_effects_findings(self, real_tree):
-        findings, _, _ = real_tree
+        findings, _ = real_tree
         # RL019 hits are baselined with justifications; RL016-18 must
         # be fixed at source (acceptance criterion).
         errors = [f for f in findings if f.rule_id in ("RL016", "RL017", "RL018")]

@@ -1,98 +1,70 @@
-"""The effects-summary cache: key discipline, invalidation, namespace
-isolation from the dataflow cache, and the warm-run speedup bound."""
+"""The facts cache as the effects layer sees it: key discipline,
+round trip and staleness of the effects summary, invalidation, and the
+warm-run speedup bound."""
 
 from __future__ import annotations
 
 import json
-import time
-from pathlib import Path
 
-from repro.lint.dataflow.cache import SummaryCache, summary_key
-from repro.lint.effects import analyze_effects
-from repro.lint.effects.cache import EffectsCache, effects_key
-from repro.lint.effects.extract import extract_effects
 from repro.lint.effects.model import EFFECTS_SCHEMA
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from repro.lint.engine import analyze
+from repro.lint.facts import FactsCache, extract_facts, facts_key
 
 SOURCE = "def charge(stats, j):\n    stats.energy_j += j\n"
+KEY = facts_key(SOURCE, "repro.m", "repro/m.py")
 
 
-def make_summary():
-    return extract_effects("repro/m.py", "repro.m", SOURCE)
+def make_facts():
+    return extract_facts("repro/m.py", "repro.m", SOURCE)
+
+
+def stored(tmp_path):
+    """A cache dir holding SOURCE's facts, and that entry's file."""
+    FactsCache(tmp_path).put(KEY, make_facts())
+    return tmp_path / KEY[:2] / f"{KEY}.json"
 
 
 class TestEffectsKey:
     def test_key_changes_with_source(self):
-        a = effects_key(SOURCE, "repro.m", "repro/m.py")
-        b = effects_key(SOURCE + "\n# touched\n", "repro.m", "repro/m.py")
-        assert a != b
+        assert KEY != facts_key(SOURCE + "\n# touched\n", "repro.m", "repro/m.py")
 
     def test_key_changes_with_module_and_path(self):
-        a = effects_key(SOURCE, "repro.m", "repro/m.py")
-        assert a != effects_key(SOURCE, "repro.other", "repro/m.py")
-        assert a != effects_key(SOURCE, "repro.m", "repro/other.py")
+        assert KEY != facts_key(SOURCE, "repro.other", "repro/m.py")
+        assert KEY != facts_key(SOURCE, "repro.m", "repro/other.py")
 
     def test_key_is_stable(self):
-        assert effects_key(SOURCE, "repro.m", "repro/m.py") == effects_key(
-            SOURCE, "repro.m", "repro/m.py"
-        )
-
-    def test_namespace_disjoint_from_dataflow(self):
-        # Both layers share one cache directory; same source must never
-        # collide across layers or per-layer hit stats become fiction.
-        assert effects_key(SOURCE, "repro.m", "repro/m.py") != summary_key(
-            SOURCE, "repro.m", "repro/m.py"
-        )
+        assert KEY == facts_key(SOURCE, "repro.m", "repro/m.py")
 
 
 class TestEffectsCache:
     def test_put_get_roundtrip(self, tmp_path):
-        cache = EffectsCache(tmp_path)
-        key = effects_key(SOURCE, "repro.m", "repro/m.py")
-        cache.put(key, make_summary())
-        fresh = EffectsCache(tmp_path)
-        assert fresh.get(key) == make_summary()
+        stored(tmp_path)
+        fresh = FactsCache(tmp_path)
+        assert fresh.get(KEY).effects == make_facts().effects
         assert fresh.hits == 1 and fresh.misses == 0
 
     def test_miss_on_absent_key(self, tmp_path):
-        cache = EffectsCache(tmp_path)
+        cache = FactsCache(tmp_path)
         assert cache.get("0" * 64) is None
         assert cache.misses == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = EffectsCache(tmp_path)
-        key = effects_key(SOURCE, "repro.m", "repro/m.py")
-        cache.put(key, make_summary())
-        entry = tmp_path / key[:2] / f"{key}.json"
-        entry.write_text("{truncated")
-        fresh = EffectsCache(tmp_path)
-        assert fresh.get(key) is None
+        stored(tmp_path).write_text("{truncated")
+        fresh = FactsCache(tmp_path)
+        assert fresh.get(KEY) is None
         assert fresh.misses == 1
 
     def test_schema_mismatch_is_a_miss(self, tmp_path):
-        cache = EffectsCache(tmp_path)
-        key = effects_key(SOURCE, "repro.m", "repro/m.py")
-        cache.put(key, make_summary())
-        entry = tmp_path / key[:2] / f"{key}.json"
+        entry = stored(tmp_path)
         payload = json.loads(entry.read_text())
-        payload["schema"] = EFFECTS_SCHEMA + 1
+        payload["effects"]["schema"] = EFFECTS_SCHEMA + 1
         entry.write_text(json.dumps(payload))
-        fresh = EffectsCache(tmp_path)
-        assert fresh.get(key) is None
+        assert FactsCache(tmp_path).get(KEY) is None
 
     def test_none_directory_disables_persistence(self):
-        cache = EffectsCache(None)
-        key = effects_key(SOURCE, "repro.m", "repro/m.py")
-        cache.put(key, make_summary())
-        assert cache.get(key) is None
-
-    def test_shared_directory_with_dataflow_cache(self, tmp_path):
-        # One directory serves both layers without cross-talk.
-        df = SummaryCache(tmp_path)
-        ef = EffectsCache(tmp_path)
-        ef.put(effects_key(SOURCE, "repro.m", "repro/m.py"), make_summary())
-        assert df.get(summary_key(SOURCE, "repro.m", "repro/m.py")) is None
+        cache = FactsCache(None)
+        cache.put(KEY, make_facts())
+        assert cache.get(KEY) is None
 
 
 class TestIncrementalEffectsRuns:
@@ -102,49 +74,32 @@ class TestIncrementalEffectsRuns:
         (tree / "a.py").write_text("def f():\n    return 1\n")
         (tree / "b.py").write_text("def g():\n    return 2\n")
         cache_dir = tmp_path / "cache"
-        analyze_effects([tree], cache_dir=cache_dir, repo_root=tmp_path)
+        analyze([tree], cache_dir=cache_dir, repo_root=tmp_path)
         (tree / "a.py").write_text("def f():\n    return 3\n")
-        _, stats, _ = analyze_effects(
+        stats = analyze(
             [tree], cache_dir=cache_dir, repo_root=tmp_path
-        )
+        ).effects_stats
         assert stats.cache_hits == 1
         assert stats.cache_misses == 1
 
-    def test_warm_run_has_zero_misses(self, tmp_path):
-        src = REPO_ROOT / "src" / "repro"
-        cache_dir = tmp_path / "cache"
-        analyze_effects([src], cache_dir=cache_dir, repo_root=REPO_ROOT)
-        _, warm_stats, _ = analyze_effects(
-            [src], cache_dir=cache_dir, repo_root=REPO_ROOT
-        )
+    def test_warm_run_has_zero_misses(self, tree_analysis):
+        warm_stats = tree_analysis.warm.effects_stats
         assert warm_stats.cache_misses == 0
         assert warm_stats.cache_hits == warm_stats.files
         assert warm_stats.hit_rate() == 1.0
 
-    def test_warm_run_under_quarter_of_cold(self, tmp_path):
-        """The acceptance bound: a warm effects pass over the real tree
-        must cost < 25% of the cold pass — both the dataflow summaries
-        it links and its own effect facts come from the cache, so warm
-        runs skip parsing and every AST walk."""
-        src = REPO_ROOT / "src" / "repro"
-        assert src.is_dir()
-        cache_dir = tmp_path / "cache"
-
-        start = time.perf_counter()
-        _, cold_stats, _ = analyze_effects(
-            [src], cache_dir=cache_dir, repo_root=REPO_ROOT
-        )
-        cold = time.perf_counter() - start
+    def test_warm_run_under_quarter_of_cold(self, tree_analysis):
+        """The acceptance bound: a warm pass over the real tree must
+        cost < 25% of the cold pass — the effect facts and the dataflow
+        summaries they link against come from the cache, so warm runs
+        skip parsing and every AST walk."""
+        cold_stats = tree_analysis.cold.effects_stats
         assert cold_stats.cache_hits == 0
         assert cold_stats.cache_misses == cold_stats.files
-
-        start = time.perf_counter()
-        _, warm_stats, _ = analyze_effects(
-            [src], cache_dir=cache_dir, repo_root=REPO_ROOT
-        )
-        warm = time.perf_counter() - start
+        warm_stats = tree_analysis.warm.effects_stats
         assert warm_stats.cache_hits == warm_stats.files
+        cold, warm = tree_analysis.cold_s, tree_analysis.warm_s
         assert warm < 0.25 * cold, (
-            f"warm effects run took {warm:.3f}s vs cold {cold:.3f}s "
-            f"({warm / cold:.0%}); the effects cache is not paying off"
+            f"warm run took {warm:.3f}s vs cold {cold:.3f}s "
+            f"({warm / cold:.0%}); the facts cache is not paying off"
         )

@@ -198,6 +198,16 @@ class TestCLI:
         assert main([str(tmp_path)]) == EXIT_CLEAN
         assert "1 baselined" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--dataflow", "--effects", "--races"])
+    def test_layer_flag_prefixes_are_rejected(self, flag, tmp_path, monkeypatch):
+        # Not a silent abbreviation of --dataflow-cache / --*-report,
+        # which would take the path as its value.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([flag, str(tmp_path)])
+        assert exit_info.value.code == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+
     def test_parse_error_is_usage_error(self, tmp_path, monkeypatch):
         write(tmp_path, "repro/bad.py", "def broken(:\n")
         monkeypatch.chdir(tmp_path)
@@ -208,24 +218,14 @@ class TestRepoTreeIsClean:
     """The tier-1 gate: linting the real src/repro must stay clean, so
     any PR introducing a violation fails the suite."""
 
-    def test_src_repro_has_no_new_findings(self):
-        src = REPO_ROOT / "src" / "repro"
-        assert src.is_dir()
-        baseline_path = REPO_ROOT / ".repro-lint-baseline.json"
-        baseline = (
-            Baseline.load(baseline_path) if baseline_path.exists() else Baseline()
-        )
-        result = lint_paths([src], baseline=baseline, repo_root=REPO_ROOT)
-        assert not result.parse_errors
-        rendered = "\n".join(f.render() for f in result.new)
-        assert not result.failures(), f"new repro-lint findings:\n{rendered}"
+    def test_src_repro_has_no_new_findings(self, tree_lint):
+        assert (REPO_ROOT / "src" / "repro").is_dir()
+        assert not tree_lint.parse_errors
+        rendered = "\n".join(f.render() for f in tree_lint.new)
+        assert not tree_lint.failures(), f"new repro-lint findings:\n{rendered}"
 
-    def test_no_stale_baseline_entries(self):
+    def test_no_stale_baseline_entries(self, tree_lint):
         baseline_path = REPO_ROOT / ".repro-lint-baseline.json"
         if not baseline_path.exists():
             pytest.skip("no baseline checked in")
-        baseline = Baseline.load(baseline_path)
-        result = lint_paths(
-            [REPO_ROOT / "src" / "repro"], baseline=baseline, repo_root=REPO_ROOT
-        )
-        assert not result.stale_baseline_entries
+        assert not tree_lint.stale_baseline_entries

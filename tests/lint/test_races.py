@@ -13,13 +13,12 @@ import pytest
 
 from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
-from repro.lint.dataflow.extract import extract_summary
 from repro.lint.dataflow.linker import Program
-from repro.lint.effects.extract import extract_effects
 from repro.lint.effects.infer import EffectsProgram, infer_signatures
-from repro.lint.races import RACES_RULE_IDS, analyze_races
+from repro.lint.engine import analyze
+from repro.lint.facts import extract_facts
+from repro.lint.races import RACES_RULE_IDS
 from repro.lint.races import sanitizer as sanitizer_mod
-from repro.lint.races.extract import extract_accesses
 from repro.lint.races.hb import RacesProgram
 from repro.lint.races.model import (
     COMM_EXTREMUM,
@@ -57,19 +56,15 @@ def races_findings(tmp_path, rule_id=None):
 def build(source, module="repro.sim.scen", path="repro/sim/scen.py"):
     """(RacesProgram, effect signatures) of a one-file fixture, via
     the real extract+link path."""
-    src = textwrap.dedent(source)
-    program = Program([extract_summary(path, module, src)])
-    races_program = RacesProgram(
-        program, [extract_accesses(path, module, src)]
-    )
-    sigs = infer_signatures(
-        EffectsProgram(program, [extract_effects(path, module, src)])
-    )
+    facts = extract_facts(path, module, textwrap.dedent(source))
+    program = Program([facts.dataflow])
+    races_program = RacesProgram(program, [facts.races])
+    sigs = infer_signatures(EffectsProgram(program, [facts.effects]))
     return races_program, sigs
 
 
 def summarize(source, module="repro.sim.scen", path="repro/sim/scen.py"):
-    return extract_accesses(path, module, textwrap.dedent(source))
+    return extract_facts(path, module, textwrap.dedent(source)).races
 
 
 def fn_of(summary, name):
@@ -873,9 +868,7 @@ class TestScopeAndCLI:
         # silent, but an ungated standalone run still sees it.
         write(tmp_path, "repro/reportutil.py", RL021_TP)
         assert races_findings(tmp_path, "RL021") == []
-        findings, _, _ = analyze_races(
-            [tmp_path], cache_dir=None, repo_root=tmp_path
-        )
+        findings = analyze([tmp_path], repo_root=tmp_path).new
         assert [f for f in findings if f.rule_id == "RL021"]
 
     def test_select_races_rule_only(self, tmp_path, monkeypatch):

@@ -94,12 +94,11 @@ def build_report() -> str:
         lines.append(
             f"dataflow: {result.dataflow_stats.files} file(s) summarized"
         )
-    if result.effects_stats is not None:
+    if result.effects_report is not None:
         lines.append(
             f"effects: {result.effects_stats.files} file(s) summarized, "
-            f"{result.effects_stats.hot_functions} hot-path function(s)"
+            f"{len(result.effects_report['hot_functions'])} hot-path function(s)"
         )
-    if result.effects_report is not None:
         summary = result.effects_report.get("summary", {})
         lines.append(
             "kernel readiness: "
@@ -107,14 +106,13 @@ def build_report() -> str:
             f"{summary.get('with_blockers', 0)} with blockers "
             f"(see results/effects_report.json)"
         )
-    if result.races_stats is not None:
-        lines.append(
-            f"races: {result.races_stats.files} file(s) summarized, "
-            f"{result.races_stats.members} cohort member(s), "
-            f"{result.races_stats.pairs} may-co-schedule pair(s)"
-        )
     if result.races_report is not None:
         summary = result.races_report.get("summary", {})
+        lines.append(
+            f"races: {result.races_stats.files} file(s) summarized, "
+            f"{summary.get('members', 0)} cohort member(s), "
+            f"{summary.get('pairs', 0)} may-co-schedule pair(s)"
+        )
         lines.append(
             "cohort conflicts: "
             f"{summary.get('strong_pairs', 0)} strong of "
