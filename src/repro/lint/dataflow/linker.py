@@ -28,7 +28,16 @@ from repro.lint.dataflow.model import (
     PROV_UNKNOWN,
     PROV_UNSEEDED,
 )
-from repro.lint.dataflow.extract import SEED_PARAM_NAMES
+
+#: Parameter names that identify the seed input of an RNG factory.
+SEED_PARAM_NAMES: Set[str] = {
+    "seed",
+    "root_seed",
+    "seed_seq",
+    "seed_sequence",
+    "rng",
+    "generator",
+}
 
 _MAX_ALIAS_HOPS = 16
 _MAX_RETURN_CHASE = 8

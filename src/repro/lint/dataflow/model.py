@@ -1,4 +1,4 @@
-"""Per-file analysis summaries: the unit the dataflow cache stores.
+"""Per-file dataflow summaries, one part of each file's cached facts.
 
 A :class:`FileSummary` is a pure function of one file's source text —
 no cross-file facts leak in, so summaries can be content-hash cached
@@ -6,15 +6,17 @@ and recomputed independently.  Everything interprocedural (alias
 chasing, call-graph closure, dimension conflicts) happens later in the
 linker over a set of summaries.
 
-All structures round-trip through JSON exactly (lists, dicts, strings,
-ints, None), so a cache hit is indistinguishable from a fresh
-extraction.
+All structures are plain dataclasses of lists, dicts, strings, ints
+and None, so they round-trip through JSON exactly
+(``dataclasses.asdict`` out, :func:`repro.lint.facts.decode` back) and
+a cache hit is indistinguishable from a fresh extraction.  Adding a
+field means bumping the schema.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 #: Bump when the summary shape or the extraction logic changes; part of
 #: every cache key, so stale summaries are never loaded.
@@ -168,57 +170,3 @@ class FileSummary:
     aliases: Dict[str, str] = field(default_factory=dict)
     functions: List[FunctionSummary] = field(default_factory=list)
     classes: List[ClassSummary] = field(default_factory=list)
-
-    # -- JSON round-trip ---------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "FileSummary":
-        summary = cls(
-            schema=payload.get("schema", -1),
-            path=payload.get("path", ""),
-            module=payload.get("module", ""),
-            aliases=dict(payload.get("aliases", {})),
-        )
-        for fn in payload.get("functions", []):
-            summary.functions.append(
-                FunctionSummary(
-                    qualname=fn["qualname"],
-                    lineno=fn["lineno"],
-                    col=fn["col"],
-                    is_method=fn["is_method"],
-                    is_sim_process=fn["is_sim_process"],
-                    params=[ParamInfo(**p) for p in fn["params"]],
-                    return_dimension=fn["return_dimension"],
-                    return_base=fn["return_base"],
-                    returns_call=fn["returns_call"],
-                    returns_rng=fn["returns_rng"],
-                    rng_seed_param=fn["rng_seed_param"],
-                    calls=[
-                        CallInfo(
-                            callee=c["callee"],
-                            callee_text=c["callee_text"],
-                            lineno=c["lineno"],
-                            col=c["col"],
-                            args=[ArgInfo(**a) for a in c["args"]],
-                            expr_bases=list(c["expr_bases"]),
-                            target_dimension=c["target_dimension"],
-                            target_text=c["target_text"],
-                        )
-                        for c in fn["calls"]
-                    ],
-                    rng_events=[RngEvent(**e) for e in fn["rng_events"]],
-                    wall_calls=[WallCall(**w) for w in fn["wall_calls"]],
-                )
-            )
-        for klass in payload.get("classes", []):
-            summary.classes.append(
-                ClassSummary(
-                    qualname=klass["qualname"],
-                    lineno=klass["lineno"],
-                    is_dataclass=klass["is_dataclass"],
-                    init_params=[ParamInfo(**p) for p in klass["init_params"]],
-                )
-            )
-        return summary

@@ -3,15 +3,16 @@ inference (purity, state writes, RNG draws, I/O, float-reduction
 order, closures) plus rules RL016-RL019 and the kernel-readiness
 report consumed by the ROADMAP item 2 refactor.
 
-Layer map (the file-local product is cached in :mod:`repro.lint.facts`):
+Layer map (the per-file facts are extracted by :mod:`repro.lint.extract`
+and cached in :mod:`repro.lint.facts`):
 
 - :mod:`contracts` — the runtime ``@declared_pure`` marker/registry;
 - :mod:`model` — :class:`EffectFileSummary`, the cached per-file facts;
-- :mod:`extract` — one file's AST -> direct effect facts;
 - :mod:`infer` — whole-program fixpoint -> :class:`EffectSignature`;
 - :mod:`rules` — RL016-RL019 over the inferred signatures;
-- :mod:`report` — the ranked vectorization-readiness report;
-- :mod:`run` — the layer's entry point, :func:`run.run_effects`.
+- :mod:`report` — the ranked vectorization-readiness report.
+
+Entry point: :func:`repro.lint.engine.run_effects`.
 """
 
 from __future__ import annotations

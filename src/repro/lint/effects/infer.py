@@ -10,7 +10,7 @@ dispatch paths (``sim/kernel.py``, ``inference/engine.py``) are made
 of.
 
 Over that extended graph, per-function direct facts (from
-:mod:`~repro.lint.effects.extract`) are propagated callee-to-caller
+:mod:`repro.lint.extract`) are propagated callee-to-caller
 with a monotone worklist: every flag only flips ``False -> True`` and
 the flag lattice is finite, so the fixpoint terminates on any graph,
 cycles included.  Propagation is kind-aware:

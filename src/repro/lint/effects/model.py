@@ -1,4 +1,4 @@
-"""Per-file effect summaries: the unit the effects cache stores.
+"""Per-file effect summaries, one part of each file's cached facts.
 
 Mirrors :mod:`repro.lint.dataflow.model`: an
 :class:`EffectFileSummary` is a pure function of one file's source
@@ -12,8 +12,8 @@ set of summaries plus the dataflow linker's
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 #: Bump when the summary shape or extraction logic changes; part of
 #: every cache key, so stale summaries are never loaded.
@@ -187,39 +187,3 @@ class EffectFileSummary:
     path: str = ""
     module: str = ""
     functions: List[FunctionEffects] = field(default_factory=list)
-
-    # -- JSON round-trip ---------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "EffectFileSummary":
-        summary = cls(
-            schema=payload.get("schema", -1),
-            path=payload.get("path", ""),
-            module=payload.get("module", ""),
-        )
-        for fn in payload.get("functions", []):
-            summary.functions.append(
-                FunctionEffects(
-                    qualname=fn["qualname"],
-                    lineno=fn["lineno"],
-                    col=fn["col"],
-                    is_method=fn["is_method"],
-                    class_ctx=fn["class_ctx"],
-                    declared_pure=fn["declared_pure"],
-                    has_yield=fn["has_yield"],
-                    mutations=[Mutation(**m) for m in fn["mutations"]],
-                    float_accums=[FloatAccum(**a) for a in fn["float_accums"]],
-                    loop_calls=[LoopCall(**c) for c in fn["loop_calls"]],
-                    closures=[ClosureCapture(**c) for c in fn["closures"]],
-                    attr_calls=[AttrCall(**c) for c in fn["attr_calls"]],
-                    rng_draws=[RngDraw(**d) for d in fn["rng_draws"]],
-                    io_calls=[IoCall(**c) for c in fn["io_calls"]],
-                    mutable_defaults=[
-                        MutableDefault(**d) for d in fn["mutable_defaults"]
-                    ],
-                    attr_binds=dict(fn["attr_binds"]),
-                )
-            )
-        return summary

@@ -33,10 +33,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.lint.baseline import Baseline
-from repro.lint.dataflow.rules import DATAFLOW_RULE_IDS
-from repro.lint.dataflow.run import run_dataflow
-from repro.lint.effects.rules import EFFECTS_RULE_IDS
-from repro.lint.effects.run import run_effects
+from repro.lint.dataflow.rules import DATAFLOW_RULE_IDS, check_program
+from repro.lint.effects.report import build_report as build_effects_report
+from repro.lint.effects.report import hot_closure
+from repro.lint.effects.rules import EFFECTS_RULE_IDS, check_effects
 from repro.lint.facts import (
     DEFAULT_CACHE_DIR_NAME,
     FactsStats,
@@ -46,8 +46,8 @@ from repro.lint.facts import (
 from repro.lint.findings import Finding, Severity, sort_findings
 from repro.lint.imports import ImportGraph, module_name_for
 from repro.lint.interproc import Linked
-from repro.lint.races.rules import RACES_RULE_IDS
-from repro.lint.races.run import run_races
+from repro.lint.races.report import build_report as build_races_report
+from repro.lint.races.rules import RACES_RULE_IDS, check_races
 from repro.lint.rules import Rule, RuleContext, all_rule_ids, get_rule_classes
 from repro.lint.suppressions import SuppressionIndex
 
@@ -143,6 +143,47 @@ class LintResult:
             for f in self.new
             if strict or f.severity is Severity.ERROR
         ]
+
+
+def run_dataflow(
+    linked: Linked, rule_ids: Optional[Set[str]] = None
+) -> List[Finding]:
+    """The selected dataflow rules' findings (None = all of them)."""
+    return check_program(linked.program, rule_ids)
+
+
+def run_effects(
+    linked: Linked,
+    rule_ids: Optional[Set[str]] = None,
+    critical_modules: Optional[Set[str]] = None,
+) -> Tuple[List[Finding], Dict[str, Any]]:
+    """``(findings, report)``: the selected effect rules' findings and
+    the kernel-readiness report (see :mod:`repro.lint.effects.report`)."""
+    program, sigs = linked.effects_program, linked.signatures
+    findings = check_effects(
+        program,
+        sigs,
+        hot_closure(program),
+        rule_ids=rule_ids,
+        critical_modules=critical_modules,
+    )
+    return findings, build_effects_report(program, sigs)
+
+
+def run_races(
+    linked: Linked,
+    rule_ids: Optional[Set[str]] = None,
+    critical_modules: Optional[Set[str]] = None,
+) -> Tuple[List[Finding], Dict[str, Any]]:
+    """``(findings, report)``: the selected race rules' findings and the
+    cohort-conflict report (see :mod:`repro.lint.races.report`)."""
+    findings = check_races(
+        linked.races_program,
+        linked.signatures,
+        rule_ids=rule_ids,
+        critical_modules=critical_modules,
+    )
+    return findings, build_races_report(linked.races_program)
 
 
 def run_layers(

@@ -23,15 +23,27 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
-from repro.lint.dataflow.extract import summarize_dataflow
 from repro.lint.dataflow.model import DATAFLOW_SCHEMA, FileSummary
-from repro.lint.effects.extract import summarize_effects
 from repro.lint.effects.model import EFFECTS_SCHEMA, EffectFileSummary
-from repro.lint.races.extract import summarize_accesses
+from repro.lint.extract import summarize
 from repro.lint.races.model import RACES_SCHEMA, RaceFileSummary
 from repro.lint.scope import FileScope
 
@@ -40,6 +52,66 @@ DEFAULT_CACHE_DIR_NAME = ".repro-lint-cache"
 
 #: One input file: (display_path, module, source, optional parsed tree).
 FileEntry = Tuple[str, str, str, Optional[ast.Module]]
+
+T = TypeVar("T")
+
+#: Type -> the function that decodes parsed JSON into it.
+_DECODERS: Dict[Any, Optional[Callable[[Any], Any]]] = {}
+
+
+def decode(kind: Type[T], payload: Any) -> T:
+    """``payload`` (parsed JSON, as ``dataclasses.asdict`` wrote it)
+    back as a ``kind``: follows ``List``, ``Dict``, ``Optional`` and
+    nested dataclasses by their field annotations; other values pass
+    through as parsed.  A missing field raises ``KeyError``; a value of
+    the wrong shape raises ``TypeError``, ``ValueError`` or
+    ``AttributeError``."""
+    convert = _decoder(kind)
+    return payload if convert is None else convert(payload)
+
+
+def _decoder(kind: Any) -> Optional[Callable[[Any], Any]]:
+    """The converter for ``kind``, built once; None when parsed JSON is
+    already a ``kind`` (str, int, bool, and lists or dicts of them)."""
+    if kind not in _DECODERS:
+        _DECODERS[kind] = _build_decoder(kind)
+    return _DECODERS[kind]
+
+
+def _build_decoder(kind: Any) -> Optional[Callable[[Any], Any]]:
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        members = [(f.name, _decoder(hints[f.name])) for f in fields(kind)]
+        nested = [(name, convert) for name, convert in members if convert]
+        size = len(members)
+
+        def dataclass_(value: Dict[str, Any]) -> Any:
+            # Same size and no unknown key (``kind(**...)`` rejects
+            # those): every field is present, none falls to a default.
+            if len(value) != size:
+                raise KeyError(f"{kind.__name__}: {sorted(value)}")
+            if nested:
+                value = dict(value)
+                for name, convert in nested:
+                    value[name] = convert(value[name])
+            return kind(**value)
+
+        return dataclass_
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        item = _decoder(args[0])
+        return list if item is None else (lambda value: list(map(item, value)))
+    if origin is dict:
+        item = _decoder(args[1])
+        if item is None:
+            return dict
+        return lambda value: {k: item(v) for k, v in value.items()}
+    if origin is Union:  # Optional[X]
+        (inner,) = [_decoder(a) for a in args if a is not type(None)]
+        if inner is None:
+            return None
+        return lambda value: None if value is None else inner(value)
+    return None
 
 
 @dataclass
@@ -51,19 +123,11 @@ class FileFacts:
     races: RaceFileSummary
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "dataflow": self.dataflow.to_json(),
-            "effects": self.effects.to_json(),
-            "races": self.races.to_json(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "FileFacts":
-        return cls(
-            dataflow=FileSummary.from_json(payload["dataflow"]),
-            effects=EffectFileSummary.from_json(payload["effects"]),
-            races=RaceFileSummary.from_json(payload["races"]),
-        )
+        return decode(cls, payload)
 
     def is_current(self) -> bool:
         """Were all three summaries written under today's schemas?"""
@@ -83,12 +147,7 @@ def extract_facts(
     """One file's facts from one parse.  Pure function of the inputs."""
     if tree is None:
         tree = ast.parse(source, filename=display_path)
-    scope = FileScope(tree, module, display_path)
-    return FileFacts(
-        dataflow=summarize_dataflow(scope),
-        effects=summarize_effects(scope),
-        races=summarize_accesses(scope),
-    )
+    return FileFacts(*summarize(FileScope(tree, module, display_path)))
 
 
 def facts_key(source: str, module: str, path: str) -> str:
@@ -143,7 +202,7 @@ class FactsCache:
             try:
                 payload = json.loads(self._path(key).read_text(encoding="utf-8"))
                 facts = FileFacts.from_json(payload)
-            except (OSError, ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError, AttributeError):
                 facts = None
         if facts is None or not facts.is_current():
             self.misses += 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 #: The package whose determinism contract anchors the closure.
 SIM_PACKAGE = "repro.sim"
@@ -75,49 +75,55 @@ class ImportGraph:
             return
         self._imports[module] = imported_modules(tree, module)
 
-    def _is_or_under(self, module: str, package: str) -> bool:
+    @staticmethod
+    def _is_or_under(module: str, package: str) -> bool:
         return module == package or module.startswith(package + ".")
 
-    def _touches_sim(self, names: Iterable[str]) -> bool:
-        return any(self._is_or_under(n, SIM_PACKAGE) for n in names)
+    def _edges(self) -> Tuple[Dict[str, Set[str]], Dict[str, Set[str]]]:
+        """(targets, importers): each module's resolved import edges,
+        and the same edges reversed.
 
-    def _resolve(self, imported: str) -> Set[str]:
-        """Known modules an imported dotted name refers to (the module
-        itself, a package prefix, or a ``from pkg import name`` alias)."""
-        return {
-            known
-            for known in self._imports
-            if self._is_or_under(imported, known) or self._is_or_under(known, imported)
-        }
+        An imported dotted name refers to every known module it is, is
+        under (``from pkg import name``) or is a package prefix of."""
+        under: Dict[str, Set[str]] = {}
+        for known in self._imports:
+            parts = known.split(".")
+            for end in range(1, len(parts) + 1):
+                under.setdefault(".".join(parts[:end]), set()).add(known)
+        targets: Dict[str, Set[str]] = {}
+        importers: Dict[str, Set[str]] = {}
+        for module, names in self._imports.items():
+            resolved: Set[str] = set()
+            for name in names:
+                resolved |= under.get(name, set())
+                parts = name.split(".")
+                for end in range(1, len(parts)):
+                    prefix = ".".join(parts[:end])
+                    if prefix in self._imports:
+                        resolved.add(prefix)
+            targets[module] = resolved
+            for target in resolved:
+                importers.setdefault(target, set()).add(module)
+        return targets, importers
 
-    def _targets(self, module: str) -> Set[str]:
-        resolved: Set[str] = set()
-        for name in self._imports.get(module, ()):
-            resolved |= self._resolve(name)
-        return resolved
+    @staticmethod
+    def _closure(roots: Set[str], edges: Dict[str, Set[str]]) -> Set[str]:
+        closure = set(roots)
+        frontier = list(roots)
+        while frontier:
+            for nxt in edges.get(frontier.pop(), ()):
+                if nxt not in closure:
+                    closure.add(nxt)
+                    frontier.append(nxt)
+        return closure
 
     def dependencies_of(self, roots: Set[str]) -> Set[str]:
         """Transitive closure of what ``roots`` import."""
-        closure = set(roots)
-        frontier = set(roots)
-        while frontier:
-            frontier = {
-                t for m in frontier for t in self._targets(m)
-            } - closure
-            closure |= frontier
-        return closure
+        return self._closure(roots, self._edges()[0])
 
     def dependents_of(self, roots: Set[str]) -> Set[str]:
         """Transitive closure of what imports ``roots``."""
-        closure = set(roots)
-        changed = True
-        while changed:
-            changed = False
-            for module in self._imports:
-                if module not in closure and self._targets(module) & closure:
-                    closure.add(module)
-                    changed = True
-        return closure
+        return self._closure(roots, self._edges()[1])
 
     def determinism_critical(self) -> Set[str]:
         """Modules whose code can run inside (or drive) a simulation:
@@ -128,4 +134,5 @@ class ImportGraph:
         shared leaf modules (``repro.units``) and mark the whole repo.
         """
         sim = {m for m in self._imports if self._is_or_under(m, SIM_PACKAGE)}
-        return self.dependencies_of(sim) | self.dependents_of(sim)
+        targets, importers = self._edges()
+        return self._closure(sim, targets) | self._closure(sim, importers)

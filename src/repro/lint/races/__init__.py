@@ -10,15 +10,17 @@ writes in an order set only by insertion accidents.  The layer finds
 those handler pairs statically and checks their shared accesses for
 non-commutative collisions.
 
-Layer map (the file-local product is cached in :mod:`repro.lint.facts`):
+Layer map (the per-file facts are extracted by :mod:`repro.lint.extract`
+and cached in :mod:`repro.lint.facts`):
 
-- :mod:`model` — :class:`RaceFileSummary`, the cached per-file facts;
-- :mod:`extract` — one file's AST -> yield-segmented access summary;
+- :mod:`model` — :class:`RaceFileSummary`, the cached per-file
+  yield-segmented access summary;
 - :mod:`hb` — whole-program may-co-schedule relation + shared keys;
 - :mod:`rules` — RL021-RL024 over the joined model;
 - :mod:`report` — the ranked cohort-conflict report / sanitizer model;
-- :mod:`run` — the layer's entry point, :func:`run.run_races`;
 - :mod:`sanitizer` — the runtime cohort sanitizer (RL025).
+
+Entry point: :func:`repro.lint.engine.run_races`.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Per-file access summaries: the unit the races cache stores.
+"""Per-file access summaries, one part of each file's cached facts.
 
 Mirrors :mod:`repro.lint.effects.model`: a :class:`RaceFileSummary`
 is a pure function of one file's source text, JSON round-trips
-exactly, and is content-hash cached under its own key namespace in
-the shared ``.repro-lint-cache/`` directory.  The interprocedural
+exactly, and is content-hash cached with the file's other summaries
+(:class:`repro.lint.facts.FileFacts`).  The interprocedural
 part — joining access summaries into a may-co-schedule relation and
 the RL021-RL024 conflict rules — happens later, in
 :mod:`repro.lint.races.hb` and :mod:`repro.lint.races.rules`.
@@ -25,8 +25,8 @@ statement-level interleavings (there are none in a DES).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List
+from dataclasses import dataclass, field
+from typing import List
 
 #: Bump when the summary shape or extraction logic changes; part of
 #: every cache key, so stale summaries are never loaded.
@@ -57,8 +57,6 @@ ORDERED_SEQ = "seq-order"
 ORDERED_STORE = "last-writer-wins"
 #: Dict key insertion (``d[k] = v`` / ``.setdefault`` / ``.update``).
 ORDERED_DICT = "dict-insert"
-#: A mutating call whose effect we cannot classify.
-ORDERED_CALL = "stateful-call"
 
 
 @dataclass
@@ -159,33 +157,3 @@ class RaceFileSummary:
     path: str = ""
     module: str = ""
     functions: List[FunctionAccesses] = field(default_factory=list)
-
-    # -- JSON round-trip ---------------------------------------------------
-    def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "RaceFileSummary":
-        summary = cls(
-            schema=payload.get("schema", -1),
-            path=payload.get("path", ""),
-            module=payload.get("module", ""),
-        )
-        for fn in payload.get("functions", []):
-            summary.functions.append(
-                FunctionAccesses(
-                    qualname=fn["qualname"],
-                    lineno=fn["lineno"],
-                    col=fn["col"],
-                    is_method=fn["is_method"],
-                    class_ctx=fn["class_ctx"],
-                    has_yield=fn["has_yield"],
-                    is_sim_process=fn["is_sim_process"],
-                    segments=fn["segments"],
-                    accesses=[Access(**a) for a in fn["accesses"]],
-                    registrations=[
-                        Registration(**r) for r in fn["registrations"]
-                    ],
-                )
-            )
-        return summary

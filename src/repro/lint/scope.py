@@ -1,13 +1,12 @@
-"""One file's scope, built once for all three interprocedural extractors.
+"""One file's scope, built once for the interprocedural extractor.
 
-The dataflow, effects and races layers each reduce a file to their own
-per-file summary, but they need the same file-level facts to do it:
+The dataflow, effects and races layers each get their own per-file
+summary, but the extractor needs the same file-level facts for all three:
 the import aliases, the module-level definitions and globals, a name
 resolver, and — for every function — its own nodes (the body up to
 nested def/lambda/class boundaries), their parent map and the defs
 nested directly inside it.  :class:`FileScope` computes all of that in
-one linear walk; :mod:`repro.lint.facts` hands the same scope to each
-layer's extractor.
+one linear walk; :mod:`repro.lint.extract` reads it for all three.
 
 Which functions get summarized: module-level defs, the methods of
 module-level classes, and every def nested in one of those functions
@@ -240,7 +239,7 @@ class ModuleBody:
 
 
 class FileScope:
-    """The file-level facts every extractor shares, plus the functions
+    """The file-level facts the extractor reads, plus the functions
     (and the module body) to summarize."""
 
     def __init__(self, tree: ast.Module, module: str, path: str) -> None:
@@ -262,6 +261,8 @@ class FileScope:
                 node.target, ast.Name
             ):
                 self.module_globals.add(node.target.id)
+        #: Module-level *data* names (defs and classes excluded).
+        self.data_globals = self.module_globals - self.local_defs
         self.resolver = NameResolver(module, self.aliases, self.local_defs)
         #: Module-level defs and the methods of module-level classes.
         self.functions: List[FunctionScope] = []

@@ -4,6 +4,7 @@ negatives, and the regression cases the per-file rules cannot see."""
 from __future__ import annotations
 
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.lint import lint_paths
@@ -12,7 +13,7 @@ from repro.lint.dataflow.linker import Program
 from repro.lint.dataflow.model import FileSummary
 from repro.lint.dataflow.rules import check_program
 from repro.lint.engine import INTERPROCEDURAL_RULE_IDS, analyze
-from repro.lint.facts import extract_facts
+from repro.lint.facts import decode, extract_facts
 
 DATAFLOW = set(DATAFLOW_RULE_IDS)
 #: Every interprocedural rule but the dataflow ones (``--no-dataflow``).
@@ -568,10 +569,10 @@ class TestSummaryModel:
             """
         )
         summary = extract_facts("repro/m.py", "repro.m", source).dataflow
-        payload = summary.to_json()
-        restored = FileSummary.from_json(payload)
+        payload = asdict(summary)
+        restored = decode(FileSummary, payload)
         assert restored == summary
-        assert restored.to_json() == payload
+        assert asdict(restored) == payload
 
     def test_check_program_dedupes(self):
         source = textwrap.dedent(

@@ -19,7 +19,7 @@ from repro.lint.effects.contracts import (
     declared_pure_functions,
     is_declared_pure,
 )
-from repro.lint.effects.extract import classify_iter
+from repro.lint.extract import classify_iter
 from repro.lint.effects.infer import (
     EffectsProgram,
     infer_signatures,

@@ -1,11 +1,16 @@
-"""One scope walk feeds all three per-file summaries: which nested
-defs each summary lists, and in what order."""
+"""One scope walk and one extractor feed all three per-file summaries:
+which nested defs each summary lists and in what order, the extractor's
+output on a fixture that reaches every handler, and the facts codec."""
 
 from __future__ import annotations
 
+import json
 import textwrap
+from pathlib import Path
 
-from repro.lint.facts import extract_facts
+from repro.lint.facts import FactsCache, FileFacts, extract_facts, facts_key
+
+DATA = Path(__file__).parent / "data"
 
 NESTED = textwrap.dedent(
     """\
@@ -166,3 +171,45 @@ class TestNestedDefs:
             "repro.nested.Service"
         )
         assert races["repro.nested.outer.after"] == ""
+
+
+def golden_facts():
+    source = (DATA / "facts_fixture.py").read_text(encoding="utf-8")
+    return extract_facts("src/repro/sim/golden.py", "repro.sim.golden", source)
+
+
+class TestExtractorGolden:
+    """``data/facts_golden.json`` holds the fixture's facts as the three
+    per-layer extractors wrote them before they were merged into one;
+    any change to it is a change in what the layers see."""
+
+    def test_facts_are_byte_equal_to_the_golden(self):
+        expected = (DATA / "facts_golden.json").read_text(encoding="utf-8")
+        assert json.dumps(golden_facts().to_json(), indent=1) + "\n" == expected
+
+    def test_golden_round_trips_through_the_codec(self):
+        payload = json.loads((DATA / "facts_golden.json").read_text(encoding="utf-8"))
+        assert FileFacts.from_json(payload).to_json() == payload
+
+
+class TestFactsCodec:
+    def test_entry_missing_a_nested_field_is_a_miss(self, tmp_path):
+        facts = golden_facts()
+        key = facts_key("x = 1\n", "repro.m", "repro/m.py")
+        FactsCache(tmp_path).put(key, facts)
+        entry = tmp_path / key[:2] / f"{key}.json"
+        payload = json.loads(entry.read_text())
+        del payload["races"]["functions"][0]["accesses"][0]["segment"]
+        entry.write_text(json.dumps(payload))
+        cache = FactsCache(tmp_path)
+        assert cache.get(key) is None
+        assert cache.misses == 1
+
+    def test_entry_with_a_wrong_shape_is_a_miss(self, tmp_path):
+        key = facts_key("x = 1\n", "repro.m", "repro/m.py")
+        FactsCache(tmp_path).put(key, golden_facts())
+        entry = tmp_path / key[:2] / f"{key}.json"
+        payload = json.loads(entry.read_text())
+        payload["effects"]["functions"] = {"not": "a list"}
+        entry.write_text(json.dumps(payload))
+        assert FactsCache(tmp_path).get(key) is None

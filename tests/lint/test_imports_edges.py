@@ -7,7 +7,14 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.lint.imports import ImportGraph, imported_modules, module_name_for
+import random
+
+from repro.lint.imports import (
+    SIM_PACKAGE,
+    ImportGraph,
+    imported_modules,
+    module_name_for,
+)
 
 
 def build_graph(modules: dict) -> ImportGraph:
@@ -120,3 +127,66 @@ class TestDeterminismCriticalStability:
         )
         critical = graph.determinism_critical()
         assert "repro.ns.driver" in critical
+
+
+def brute_force_critical(imports: dict) -> set:
+    """The critical set by the definition: resolve every import against
+    every known module, then take both closures to a fixpoint."""
+
+    def is_or_under(module, package):
+        return module == package or module.startswith(package + ".")
+
+    def targets(module):
+        return {
+            known
+            for name in imports.get(module, ())
+            for known in imports
+            if is_or_under(name, known) or is_or_under(known, name)
+        }
+
+    sim = {m for m in imports if is_or_under(m, SIM_PACKAGE)}
+    deps = set(sim)
+    changed = True
+    while changed:
+        grown = deps | {t for m in deps for t in targets(m)}
+        changed, deps = grown != deps, grown
+    dependents = set(sim)
+    changed = True
+    while changed:
+        grown = dependents | {m for m in imports if targets(m) & dependents}
+        changed, dependents = grown != dependents, grown
+    return deps | dependents
+
+
+class TestCriticalSetMatchesDefinition:
+    NAMES = [
+        "repro.sim",
+        "repro.sim.kernel",
+        "repro.sim.events",
+        "repro.units",
+        "repro.core",
+        "repro.core.banks",
+        "repro.core.banks.Bank",
+        "repro.fleet.router",
+        "repro.fleet",
+        "repro.inference.engine",
+        "numpy",
+    ]
+
+    def test_random_graphs_match_the_brute_force_closure(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            modules = rng.sample(self.NAMES[:-1], rng.randint(1, 8))
+            imports = {
+                module: set(rng.sample(self.NAMES, rng.randint(0, 4)))
+                for module in modules
+            }
+            graph = build_graph(
+                {
+                    "src/" + module.replace(".", "/") + ".py": "".join(
+                        f"import {name}\n" for name in sorted(names)
+                    )
+                    for module, names in imports.items()
+                }
+            )
+            assert graph.determinism_critical() == brute_force_critical(imports)
