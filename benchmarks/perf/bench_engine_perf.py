@@ -31,10 +31,8 @@ assertion, but skips the absolute-speedup thresholds (meaningless at
 millisecond scale).
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +40,6 @@ from repro.parallel import ResultCache, SweepEngine, run_sweep
 from repro.sim import Histogram, Simulator, Timeout
 
 TINY = os.environ.get("REPRO_PERF_TINY") == "1"
-
-BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_sim.json"
 
 #: Events per queueing job: the spawn event plus the timeout completion.
 EVENTS_PER_JOB = 2
@@ -61,16 +57,12 @@ MAX_REGRESSION = 0.20
 EVENTS_METHOD = "warm-min10"
 
 
-def _committed_floor(tiny):
+def _committed_floor(runs, tiny):
     """Best ``events_per_sec`` among committed runs measured the same
     way (same tiny flag, same warm/min-of-N method), or None."""
-    try:
-        doc = json.loads(BENCH_PATH.read_text())
-    except (ValueError, OSError):
-        return None
     comparable = [
         run["events_per_sec"]
-        for run in doc.get("runs", [])
+        for run in runs
         if run.get("events_per_sec_method") == EVENTS_METHOD
         and run.get("tiny") == tiny
         and "events_per_sec" in run
@@ -119,7 +111,7 @@ def _sweep_grid():
     return [{"jobs": jobs + 10 * i, "wait_s": wait_s} for i in range(8)]
 
 
-def test_kernel_events_per_sec(bench_record, report):
+def test_kernel_events_per_sec(bench_record, committed_runs, report):
     jobs = 2_000 if TINY else 20_000
     _queueing_sim(jobs, seed=7)  # warmup: numpy import paths, allocator
     best = float("inf")
@@ -134,7 +126,7 @@ def test_kernel_events_per_sec(bench_record, report):
     events_per_sec = EVENTS_PER_JOB * jobs / best
     bench_record["events_per_sec"] = events_per_sec
     bench_record["events_per_sec_method"] = EVENTS_METHOD
-    floor = _committed_floor(TINY)
+    floor = _committed_floor(committed_runs, TINY)
     floor_note = f"; committed floor {floor:,.0f}" if floor else ""
     report(
         "PERF — event-kernel throughput (warm, min of 10)",

@@ -20,10 +20,8 @@ Set ``REPRO_PERF_TINY=1`` for the CI smoke variant: same code paths and
 assertions except the absolute-scale floor.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.experiment import e13_config
@@ -31,23 +29,17 @@ from repro.obs import canonical_json
 
 TINY = os.environ.get("REPRO_PERF_TINY") == "1"
 
-BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_sim.json"
-
 #: A non-tiny E13 run may be at most this fraction slower per simulated
 #: hour than the best comparable committed run before the suite fails.
 MAX_REGRESSION = 0.20
 
 
-def _committed_floor(tiny, cpus):
+def _committed_floor(runs, tiny, cpus):
     """Best (lowest) E13 ``wall_s_per_sim_hour`` among committed runs
     with the same tiny flag and CPU count, or None."""
-    try:
-        doc = json.loads(BENCH_PATH.read_text())
-    except (ValueError, OSError):
-        return None
     comparable = [
         run["fleet_e13"]["wall_s_per_sim_hour"]
-        for run in doc.get("runs", [])
+        for run in runs
         if run.get("tiny") == tiny
         and run.get("cpus") == cpus
         and "fleet_e13" in run
@@ -61,7 +53,7 @@ def _small_fleet(mode):
     )
 
 
-def test_e13_scale(bench_record):
+def test_e13_scale(bench_record, committed_runs):
     config = e13_config(tiny=TINY)
     t0 = time.perf_counter()
     result = run_fleet(config, root_seed=0)
@@ -105,7 +97,7 @@ def test_e13_scale(bench_record):
     if not TINY:
         # The acceptance headline: a million simulated users a day.
         assert totals["users_per_day"] >= 1_000_000
-        floor = _committed_floor(TINY, bench_record["cpus"])
+        floor = _committed_floor(committed_runs, TINY, bench_record["cpus"])
         if floor is not None:
             assert per_hour <= (1.0 + MAX_REGRESSION) * floor, (
                 f"E13 wall time regressed >{MAX_REGRESSION:.0%}: "

@@ -178,10 +178,8 @@ def _cmd_provisioning(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.inference.accelerator import H100_80G
-    from repro.inference.cluster import Cluster, tensor_parallel_group
+    from repro.inference.sweep import evaluate_cluster, resolve_accelerator
     from repro.obs import MetricsRegistry, Tracer
-    from repro.sim import Simulator
     from repro.workload.model import LLAMA2_70B
     from repro.workload.requests import PoissonArrivals
     from repro.workload.traces import generate_trace, replay_trace
@@ -192,59 +190,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         duration_s=args.duration,
         seed=args.seed,
     )
-    report = None
-    obs = tracer = None
-    # Auto mode means "analytic when it applies": event-level artifact
-    # requests (--metrics/--trace-out) are an explicit ask for the DES,
-    # so auto skips the analytic attempt instead of erroring.
-    try_analytic = args.mode == "analytic" or (
-        args.mode == "auto" and not (args.metrics or args.trace_out)
-    )
-    if try_analytic:
+    obs = MetricsRegistry() if args.metrics else None
+    tracer = Tracer() if args.trace_out else None
+    mode = args.mode
+    if args.metrics or args.trace_out:
         # The analytic evaluator has no simulator, so there is no event
         # stream to observe and no simulated-time spans to trace.
-        if args.metrics or args.trace_out:
+        if mode == "analytic":
             raise CLIError(
                 "--metrics/--trace-out need the event-level run; "
                 "use --mode des"
             )
-        from repro.inference.analytic import (
-            UnsupportedScenario,
-            analytic_cluster_report,
-        )
-
-        try:
-            report = analytic_cluster_report(
-                tensor_parallel_group(H100_80G, args.tp),
-                LLAMA2_70B,
-                replay_trace(trace),
-                num_engines=args.engines,
-                max_batch_size=args.batch,
-            )
-        except UnsupportedScenario as exc:
-            if args.mode == "analytic":
-                raise  # strict: outside the envelope is exit 2
-            print(f"analytic evaluator declined ({exc}); "
-                  "falling back to DES")
-    if report is None:
-        obs = MetricsRegistry() if args.metrics else None
-        tracer = Tracer() if args.trace_out else None
-        sim = Simulator(obs=obs, tracer=tracer)
-        cluster = Cluster(
-            sim,
-            tensor_parallel_group(H100_80G, args.tp),
-            LLAMA2_70B,
-            num_engines=args.engines,
-            max_batch_size=args.batch,
-            obs=obs,
-        )
-        if obs is not None and args.mode == "auto":
-            # Auto resolved to the DES (event-level artifacts were
-            # requested): leave the breadcrumb in the snapshot.
+        if mode == "auto" and obs is not None:
+            # Auto means "analytic when it applies": event-level
+            # artifacts are an explicit ask for the DES; record why.
             obs.counter(
                 "serve.analytic_fallback_total", reason="event-artifacts"
             ).add()
-        report = cluster.run(replay_trace(trace))
+        mode = "des"
+    report, _, declined = evaluate_cluster(
+        resolve_accelerator("h100-80g", args.tp),
+        LLAMA2_70B,
+        list(replay_trace(trace)),
+        mode,
+        num_engines=args.engines,
+        max_batch_size=args.batch,
+        obs=obs,
+        tracer=tracer,
+    )
+    if declined is not None:
+        print(f"analytic evaluator declined ({declined}); "
+              "falling back to DES")
     print(
         format_table(
             [
@@ -427,13 +403,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         serving_grid,
     )
 
-    if args.mode != "des":
-        # Fault timelines mutate engine state mid-run; the closed-form
-        # evaluator has no events to inject into.
-        raise CLIError(
-            "fault injection arms are event-level scenarios the analytic "
-            "mode cannot express; use --mode des"
-        )
     if args.family not in FAULT_EXPERIMENT_FAMILIES:
         raise CLIError(
             f"unknown fault experiment {args.family!r}; "
@@ -713,8 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep worker processes (default REPRO_WORKERS)")
     faults.add_argument("--param", action="append", metavar="KEY=VALUE",
                         help="override a grid-point field (repeatable)")
-    faults.add_argument("--mode", choices=("des", "analytic"), default="des",
-                        help="evaluator (fault injection requires des)")
     _add_metrics_flag(faults)
     faults.set_defaults(func=_cmd_faults)
 

@@ -270,7 +270,6 @@ def plan_capacity(
     deployment-time prior).
     """
     from repro.inference.sweep import resolve_accelerator, resolve_model
-    from repro.inference.cluster import tensor_parallel_group
 
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
@@ -278,9 +277,7 @@ def plan_capacity(
     resolved = {}
     for tenant in tenants:
         model = resolve_model(tenant.model)
-        accelerator = tensor_parallel_group(
-            resolve_accelerator(tenant.accelerator), tenant.tp
-        )
+        accelerator = resolve_accelerator(tenant.accelerator, tenant.tp)
         resolved[tenant.name] = (model, accelerator)
 
     current: Dict[str, int] = {}
@@ -388,7 +385,6 @@ def static_plan(
     the only difference E14 measures is the scaling policy.
     """
     from repro.inference.sweep import resolve_accelerator, resolve_model
-    from repro.inference.cluster import tensor_parallel_group
 
     if num_clusters < 1:
         raise ValueError("need at least one cluster")
@@ -429,9 +425,7 @@ def static_plan(
                 placed * tenant.target_rps_per_replica
             )
         model = resolve_model(tenant.model)
-        accelerator = tensor_parallel_group(
-            resolve_accelerator(tenant.accelerator), tenant.tp
-        )
+        accelerator = resolve_accelerator(tenant.accelerator, tenant.tp)
         allocations[tenant.name] = TenantAllocation(
             tenant=tenant.name,
             replicas=placed,

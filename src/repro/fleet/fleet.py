@@ -13,7 +13,8 @@ module is the composition root:
    pluggable fleet policy (:mod:`repro.fleet.routing`);
 4. **evaluation** — the routed work decomposes into independent
    ``(tenant, cluster, epoch)`` *cells*, each evaluated exactly like a
-   ``python -m repro serve`` scenario (DES, analytic, or auto) through
+   ``python -m repro serve`` scenario (DES, analytic, or auto — the
+   same :func:`repro.inference.sweep.evaluate_cluster` dispatch) through
    :func:`fleet_cell_point` — a pure top-level point function that
    :func:`repro.parallel.run_sweep` fans out across workers;
 5. **aggregation** — cell rows fold into per-tenant / per-cluster /
@@ -37,6 +38,7 @@ among them by :class:`repro.inference.cluster.Cluster`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -55,7 +57,6 @@ from repro.fleet.autoscaler import (
 from repro.fleet.routing import ROUTING_POLICIES, FleetRouter
 from repro.fleet.tenant import TenantConfig, DEFAULT_TENANTS, validate_tenants
 from repro.units import DAY
-from repro.workload.traces import TraceRecord
 
 #: Capacity-planning policies a fleet may select.
 SCALING_POLICIES = ("reactive", "static")
@@ -135,87 +136,51 @@ def fleet_cell_point(
     unused — cells replay fixed traces — but kept for the
     :func:`repro.parallel.run_sweep` point-function contract.
     """
-    from repro.inference.analytic import (
-        UnsupportedScenario,
-        analytic_cluster_report,
-    )
-    from repro.inference.cluster import Cluster, tensor_parallel_group
     from repro.inference.sweep import (
-        SERVE_MODES,
+        evaluate_cluster,
         report_to_dict,
         resolve_accelerator,
         resolve_model,
     )
-    from repro.sim import Simulator
+    from repro.workload.requests import InferenceRequest, SLAClass
 
     del seed  # cells are trace replays; nothing stochastic remains
-    mode = point["mode"]
-    if mode not in SERVE_MODES:
-        raise ValueError(
-            f"unknown serve mode {mode!r}; known: {', '.join(SERVE_MODES)}"
-        )
-    model = resolve_model(point["model"])
-    accelerator = tensor_parallel_group(
-        resolve_accelerator(point["accelerator"]), int(point["tp"])
-    )
     accelerator, placement = apply_memory_config(
-        accelerator, point["memory"]
+        resolve_accelerator(point["accelerator"], point["tp"]),
+        point["memory"],
     )
     replicas = int(point["replicas"])
     if replicas < 1:
         raise ValueError("a cell needs at least one replica")
-    records = [
-        TraceRecord(
+    requests = [
+        InferenceRequest(
             arrival_time=arrival,
             prompt_tokens=int(prompt),
             output_tokens=int(output),
-            sla=sla,
+            sla=SLAClass(sla),
         )
         for arrival, prompt, output, sla in point["records"]
     ]
+    report, evaluated, declined = evaluate_cluster(
+        accelerator,
+        resolve_model(point["model"]),
+        requests,
+        point["mode"],
+        num_engines=replicas,
+        max_batch_size=int(point["batch"]),
+        placement=placement or None,
+    )
 
-    report = None
-    fallback = False
-    if mode in ("analytic", "auto"):
-        try:
-            report = analytic_cluster_report(
-                accelerator,
-                model,
-                (record.to_request() for record in records),
-                num_engines=replicas,
-                placement=placement or None,
-                max_batch_size=int(point["batch"]),
-            )
-            evaluated = "analytic"
-        except UnsupportedScenario:
-            if mode == "analytic":
-                raise  # explicit analytic stays strict (sweep idiom)
-            fallback = True
-    if report is None:
-        sim = Simulator()
-        cluster = Cluster(
-            sim,
-            accelerator,
-            model,
-            num_engines=replicas,
-            placement=placement or None,
-            max_batch_size=int(point["batch"]),
-        )
-        report = cluster.run(record.to_request() for record in records)
-        evaluated = "des"
-
-    sla_admitted: Dict[str, int] = {}
-    for record in records:
-        sla_admitted[record.sla] = sla_admitted.get(record.sla, 0) + 1
+    sla_admitted = Counter(request.sla.value for request in requests)
     result = report_to_dict(report)
     result["mode"] = evaluated
-    result["analytic_fallback"] = fallback
+    result["analytic_fallback"] = declined is not None
     result["tenant"] = point["tenant"]
     result["cluster"] = int(point["cluster"])
     result["epoch"] = int(point["epoch"])
     result["memory"] = point["memory"]
     result["replicas"] = replicas
-    result["admitted"] = len(records)
+    result["admitted"] = len(requests)
     result["sla_admitted"] = dict(sorted(sla_admitted.items()))
     return result
 
@@ -324,20 +289,11 @@ def _weighted_sla_attainment(
     return attainment, counts
 
 
-def _resolve_tenant_model(tenant: TenantConfig):
-    from repro.inference.sweep import resolve_model
-
-    return resolve_model(tenant.model)
-
-
 def _tenant_mrm_constants(tenant: TenantConfig) -> Tuple[float, float]:
     """(capacity bytes, endurance cycles) of one replica's MRM tier."""
-    from repro.inference.cluster import tensor_parallel_group
     from repro.inference.sweep import resolve_accelerator
 
-    accelerator = tensor_parallel_group(
-        resolve_accelerator(tenant.accelerator), tenant.tp
-    )
+    accelerator = resolve_accelerator(tenant.accelerator, tenant.tp)
     spec = mrm_tier_spec(accelerator.tier("hbm"))
     return float(spec.capacity_bytes), float(spec.profile.endurance_cycles)
 
@@ -353,6 +309,7 @@ def aggregate_fleet(
     key order, so the result (and its obs snapshot) is bit-identical
     across worker counts.
     """
+    from repro.inference.sweep import resolve_model
     from repro.obs import MetricsRegistry
 
     tenants: Sequence[TenantConfig] = context["tenants"]
@@ -435,9 +392,7 @@ def aggregate_fleet(
         serving_bytes = math.fsum(
             r["tier_bytes_written"].get("mrm", 0.0) for r in t_rows
         )
-        weights_bytes = float(
-            _resolve_tenant_model(tenant).weights_bytes
-        )
+        weights_bytes = float(resolve_model(tenant.model).weights_bytes)
         weight_loads = 0
         previous_mrm = 0
         for epoch in range(epochs):

@@ -24,8 +24,8 @@ token throughput, latency SLAs):
   dispatcher and aggregate metrics.
 - :mod:`~repro.inference.analytic` — closed-form fluid-replay evaluator
   reproducing the cluster report ~100-1000x faster than the DES.
-- :mod:`~repro.inference.sweep` — serving sweeps with a
-  ``mode="des"|"analytic"`` switch and DES-vs-analytic cross-validation.
+- :mod:`~repro.inference.sweep` — the one des|analytic|auto evaluator
+  dispatch, serving sweeps and DES-vs-analytic cross-validation.
 """
 
 from repro.inference.accelerator import (
@@ -63,6 +63,7 @@ from repro.inference.sweep import (
     SERVE_MODES,
     cross_validate,
     cross_validation_grid,
+    evaluate_cluster,
     run_serve_sweep,
     serve_point,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "analytic_cluster_report",
     "cross_validate",
     "cross_validation_grid",
+    "evaluate_cluster",
     "run_serve_sweep",
     "serve_point",
 ]

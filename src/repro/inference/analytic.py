@@ -40,11 +40,12 @@ through the realized batch factors.
 
 Scenarios the fluid replay cannot express raise
 :class:`UnsupportedScenario` (a ``ValueError``, so the CLI reports it as
-one line and exits 2): prefix sharing, fault-injection arms, KV pools
-too small for a request, offered loads outside the stability envelope,
-and workloads whose realized concurrency spills over the admission cap
-(where DES queueing dynamics dominate).  See ``docs/PERFORMANCE.md`` for
-the validity envelope and the measured DES-vs-analytic error table.
+one line and exits 2): prefix sharing, KV pools too small for a
+request, offered loads outside the stability envelope, and workloads
+whose realized concurrency spills over the admission cap (where DES
+queueing dynamics dominate).  Fault injection is DES-only.  See
+``docs/PERFORMANCE.md`` for the validity envelope and the measured
+DES-vs-analytic error table.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 
 from repro.inference.accelerator import AcceleratorConfig
 from repro.inference.cluster import DEFAULT_SLA_THRESHOLDS, ClusterReport
-from repro.inference.engine import DEFAULT_PLACEMENT, KVRecoveryConfig
+from repro.inference.engine import DEFAULT_PLACEMENT
 from repro.workload.model import ModelConfig
 from repro.workload.requests import InferenceRequest, SLAClass
 
@@ -92,14 +93,12 @@ def analytic_cluster_report(
     max_batch_size: int = 16,
     tokens_per_page: int = 16,
     enable_prefix_sharing: bool = False,
-    kv_recovery: Optional[KVRecoveryConfig] = None,
 ) -> ClusterReport:
     """Evaluate a serving scenario in closed form.
 
     Mirrors ``Cluster(...).run(requests)`` — same argument meanings,
     same :class:`ClusterReport` shape — without building a simulator.
-    ``kv_recovery`` is accepted for signature parity; with no fault
-    injection (the only analytic regime) it never acts.
+    There are no fault or recovery knobs: fault injection is DES-only.
     """
     if num_engines < 1:
         raise ValueError("need at least one engine")

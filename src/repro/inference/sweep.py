@@ -2,8 +2,9 @@
 
 :func:`serve_point` is the pure point function (picklable, top level)
 that :func:`repro.parallel.run_sweep` fans out: one serving scenario in,
-one JSON-able result dict out.  Each point carries a
-``mode: "des" | "analytic"`` field selecting the evaluator —
+one JSON-able result dict out.  Each point's ``mode`` field selects
+the evaluator through :func:`evaluate_cluster` (shared with ``serve``
+and fleet cells) —
 
 - ``"des"`` builds a :class:`~repro.inference.cluster.Cluster` on the
   discrete-event kernel and runs the trace to completion (exact);
@@ -30,7 +31,7 @@ agrees within :data:`CROSS_VAL_TOLERANCE` relative error.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,9 +91,10 @@ def resolve_model(name: str):
         ) from None
 
 
-def resolve_accelerator(name: str):
-    """Catalog lookup for a sweep/fleet accelerator key."""
+def resolve_accelerator(name: str, tp: int):
+    """Catalog lookup for a sweep/fleet accelerator key, as a TP-``tp`` group."""
     from repro.inference.accelerator import A100_80G, B200, H100_80G
+    from repro.inference.cluster import tensor_parallel_group
 
     accelerators = {
         "a100-80g": A100_80G,
@@ -100,28 +102,70 @@ def resolve_accelerator(name: str):
         "b200": B200,
     }
     try:
-        return accelerators[name]
+        accelerator = accelerators[name]
     except KeyError:
         raise ValueError(
             f"unknown accelerator {name!r}; known: "
             f"{', '.join(sorted(accelerators))}"
         ) from None
+    return tensor_parallel_group(accelerator, int(tp))
 
 
-def _resolve(point: Mapping[str, Any]):
-    from repro.inference.cluster import tensor_parallel_group
+def evaluate_cluster(
+    accelerator,
+    model,
+    requests: Sequence[Any],
+    mode: str,
+    num_engines: int,
+    max_batch_size: int,
+    placement: Optional[Mapping[str, str]] = None,
+    obs=None,
+    tracer=None,
+) -> Tuple[Any, str, Optional[str]]:
+    """Evaluate one serving scenario under the ``mode`` policy.
 
-    merged = dict(DEFAULT_POINT, **point)
-    mode = merged["mode"]
+    The dispatch behind ``serve``, :func:`serve_point` and fleet cells.
+    Returns ``(report, evaluated, declined)``: the evaluator that ran
+    (``"analytic"`` or ``"des"``) and, when ``auto`` fell back to the
+    DES, the analytic refusal message (else ``None``).  ``requests``
+    must be a sequence: ``auto`` may read it twice.  ``obs`` and
+    ``tracer`` only reach the DES.
+    """
+    # Looked up at call time, so instrumented evaluators are the ones run.
+    from repro.inference import analytic
+    from repro.inference.cluster import Cluster
+    from repro.sim import Simulator
+
     if mode not in SERVE_MODES:
         raise ValueError(
             f"unknown serve mode {mode!r}; known: {', '.join(SERVE_MODES)}"
         )
-    model = resolve_model(merged["model"])
-    accelerator = tensor_parallel_group(
-        resolve_accelerator(merged["accelerator"]), int(merged["tp"])
+    declined = None
+    if mode != "des":
+        try:
+            report = analytic.analytic_cluster_report(
+                accelerator,
+                model,
+                requests,
+                num_engines=num_engines,
+                placement=placement,
+                max_batch_size=max_batch_size,
+            )
+            return report, "analytic", None
+        except analytic.UnsupportedScenario as exc:
+            if mode == "analytic":
+                raise  # explicit analytic stays strict
+            declined = str(exc)
+    cluster = Cluster(
+        Simulator(obs=obs, tracer=tracer),
+        accelerator,
+        model,
+        num_engines=num_engines,
+        placement=placement,
+        max_batch_size=max_batch_size,
+        obs=obs,
     )
-    return merged, model, accelerator
+    return cluster.run(requests), "des", declined
 
 
 def report_to_dict(report) -> Dict[str, Any]:
@@ -161,16 +205,11 @@ def serve_point(point: Mapping[str, Any], seed: np.random.SeedSequence) -> dict:
     ``(grid index, root_seed)`` sees the same request stream in both
     modes.
     """
-    from repro.inference.analytic import (
-        UnsupportedScenario,
-        analytic_cluster_report,
-    )
-    from repro.inference.cluster import Cluster
-    from repro.sim import Simulator
     from repro.workload.requests import PoissonArrivals
     from repro.workload.traces import generate_trace, replay_trace
 
-    merged, model, accelerator = _resolve(point)
+    merged = dict(DEFAULT_POINT, **point)
+    model = resolve_model(merged["model"])
     trace_seed = int(seed.generate_state(1, dtype=np.uint32)[0])
     trace = generate_trace(
         model,
@@ -178,41 +217,21 @@ def serve_point(point: Mapping[str, Any], seed: np.random.SeedSequence) -> dict:
         duration_s=float(merged["duration"]),
         seed=trace_seed,
     )
-    mode = merged["mode"]
-    report = None
-    fallback = False
-    if mode in ("analytic", "auto"):
-        try:
-            report = analytic_cluster_report(
-                accelerator,
-                model,
-                replay_trace(trace),
-                num_engines=int(merged["engines"]),
-                max_batch_size=int(merged["batch"]),
-            )
-            evaluated = "analytic"
-        except UnsupportedScenario:
-            if mode == "analytic":
-                raise  # explicit analytic stays strict
-            fallback = True
-    if report is None:
-        sim = Simulator()
-        cluster = Cluster(
-            sim,
-            accelerator,
-            model,
-            num_engines=int(merged["engines"]),
-            max_batch_size=int(merged["batch"]),
-        )
-        report = cluster.run(replay_trace(trace))
-        evaluated = "des"
+    report, evaluated, declined = evaluate_cluster(
+        resolve_accelerator(merged["accelerator"], merged["tp"]),
+        model,
+        list(replay_trace(trace)),
+        merged["mode"],
+        num_engines=int(merged["engines"]),
+        max_batch_size=int(merged["batch"]),
+    )
     result = report_to_dict(report)
     # ``mode`` reports the evaluator that actually ran; auto points also
     # carry the request and whether the analytic evaluator declined.
     result["mode"] = evaluated
-    if mode == "auto":
+    if merged["mode"] == "auto":
         result["requested_mode"] = "auto"
-        result["analytic_fallback"] = fallback
+        result["analytic_fallback"] = declined is not None
     return result
 
 

@@ -657,9 +657,10 @@ class _Extractor:
         self.returns: List[ast.Return] = []
         #: Parameter name -> byte bases of the arithmetic it appears in.
         self.param_bases: Dict[str, Set[str]] = {}
-        #: Races: yield-delimited segment, and (lineno, col) of
-        #: extremum-fold guard reads to suppress.
+        #: Races: yield-delimited segment, extremum-fold store targets,
+        #: and (lineno, col) of their guard reads to suppress.
         self.segment = 0
+        self.folds: Set[ast.AST] = set()
         self.fold_guards: Set[Tuple[int, int]] = set()
         #: Per-call (raw dotted name, tail, resolved name), and per
         #: iterable its (order class, snippet): each computed once.
@@ -673,6 +674,18 @@ class _Extractor:
         for node in own:
             if isinstance(node, ast.Global):
                 self.global_decls |= set(node.names)
+            elif isinstance(node, ast.Assign):
+                # Before any read is recorded: own nodes are in pre-order,
+                # so the guard of ``if v > x: x = v`` precedes its fold.
+                self.folds.update(
+                    target
+                    for target in node.targets
+                    if (
+                        isinstance(target, ast.Attribute)
+                        or getattr(target, "id", None) in self.global_decls
+                    )
+                    and self._extremum_fold(node, target)
+                )
         self.races_globals = self.module_globals | self.global_decls
         for node in own:
             handler = _HANDLERS.get(type(node))
@@ -851,7 +864,7 @@ class _Extractor:
         pending instances of the same callback (each registration binds
         its own arguments); stores computed from ``self``/constants are
         identical and therefore symmetric."""
-        if isinstance(node, ast.Assign) and self._extremum_fold(node, target):
+        if target in self.folds:
             self._write(target, root, "assign", True, COMM_EXTREMUM)
             return
         via = "assign"

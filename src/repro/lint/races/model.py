@@ -30,7 +30,7 @@ from typing import List
 
 #: Bump when the summary shape or extraction logic changes; part of
 #: every cache key, so stale summaries are never loaded.
-RACES_SCHEMA = 2
+RACES_SCHEMA = 3
 
 # Read-use classes --------------------------------------------------------
 #: The read feeds a branch condition (If/While/IfExp/Assert test).

@@ -180,8 +180,9 @@ def golden_facts():
 
 class TestExtractorGolden:
     """``data/facts_golden.json`` holds the fixture's facts as the three
-    per-layer extractors wrote them before they were merged into one;
-    any change to it is a change in what the layers see."""
+    per-layer extractors wrote them before they were merged into one,
+    less the two ``if v > x: x = v`` guard reads that the races layer
+    now folds; any change to it is a change in what the layers see."""
 
     def test_facts_are_byte_equal_to_the_golden(self):
         expected = (DATA / "facts_golden.json").read_text(encoding="utf-8")

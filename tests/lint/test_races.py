@@ -541,6 +541,46 @@ class TestRL022:
         )
         assert races_findings(tmp_path, "RL022") == []
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            """\
+            PEAK = 0
+
+            def start(sim, jobs):
+                for job in jobs:
+                    sim.spawn(_track(sim, job))
+
+            def _track(sim, job):
+                global PEAK
+                yield Timeout(1.0)
+                if job.size > PEAK:
+                    PEAK = job.size
+            """,
+            """\
+            class Tracker:
+                def __init__(self, sim):
+                    self.sim = sim
+                    self.peak = 0
+
+                def start(self, jobs):
+                    for job in jobs:
+                        self.sim.spawn(self._track(job))
+
+                def _track(self, job):
+                    yield Timeout(1.0)
+                    if job.size > self.peak:
+                        self.peak = job.size
+            """,
+        ],
+        ids=["global", "self"],
+    )
+    def test_extremum_fold_guard_is_not_a_control_read(self, tmp_path, source):
+        # ``if v > x: x = v`` is a max-fold: its guard read is part of
+        # the commuting fold, not a control-flow read of shared state.
+        write(tmp_path, "repro/sim/scen.py", source)
+        assert races_findings(tmp_path, "RL022") == []
+
 
 # ---------------------------------------------------------------------------
 # RL023 — same-instant registrations without an ordering key

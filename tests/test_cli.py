@@ -100,13 +100,6 @@ class TestAnalyticMode:
         assert "--mode des" in err
         assert err.count("\n") == 1
 
-    def test_faults_analytic_is_one_line_error(self, capsys):
-        assert main(["faults", "--mode", "analytic", "--tiny"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "use --mode des" in err
-        assert err.count("\n") == 1
-
     def test_sweep_cross_validate_tiny(self, capsys):
         assert main(
             ["sweep", "--mode", "cross-validate", "--tiny"]
@@ -278,6 +271,94 @@ class TestAutoMode:
         )
         assert hard["mode"] == "des"
         assert hard["analytic_fallback"] is True
+
+
+#: ``(rate, duration)`` on one TP-4 A100 engine serving Llama2-13B:
+#: "in" sits inside the analytic envelope, "out" overloads the engine.
+_ENVELOPE = {"in": (0.5, 20.0), "out": (40.0, 2.0)}
+
+
+def _scenario(envelope):
+    from repro.inference.sweep import resolve_accelerator, resolve_model
+    from repro.workload.requests import PoissonArrivals
+    from repro.workload.traces import generate_trace, replay_trace
+
+    rate, duration = _ENVELOPE[envelope]
+    model = resolve_model("llama2-13b")
+    trace = generate_trace(model, arrivals=PoissonArrivals(rate),
+                           duration_s=duration, seed=0)
+    return resolve_accelerator("a100-80g", 4), model, list(replay_trace(trace))
+
+
+class TestEvaluateCluster:
+    """The one des|analytic|auto dispatch behind serve, sweep and fleet."""
+
+    @pytest.mark.parametrize("envelope", sorted(_ENVELOPE))
+    def test_des_never_calls_analytic(self, envelope, monkeypatch):
+        from repro.inference import analytic
+        from repro.inference.sweep import evaluate_cluster
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("des mode called the analytic evaluator")
+
+        monkeypatch.setattr(analytic, "analytic_cluster_report", refuse)
+        report, evaluated, declined = evaluate_cluster(
+            *_scenario(envelope), "des", num_engines=1, max_batch_size=16
+        )
+        assert (evaluated, declined) == ("des", None)
+        assert report.requests_completed > 0
+
+    @pytest.mark.parametrize("mode", ["analytic", "auto"])
+    def test_in_envelope_returns_the_analytic_report(self, mode):
+        from repro.inference.analytic import analytic_cluster_report
+        from repro.inference.sweep import evaluate_cluster, report_to_dict
+
+        accelerator, model, requests = _scenario("in")
+        report, evaluated, declined = evaluate_cluster(
+            accelerator, model, requests, mode,
+            num_engines=1, max_batch_size=16,
+        )
+        assert (evaluated, declined) == ("analytic", None)
+        expected = analytic_cluster_report(
+            accelerator, model, requests, num_engines=1, max_batch_size=16
+        )
+        assert report_to_dict(report) == report_to_dict(expected)
+
+    def test_analytic_out_of_envelope_is_strict(self):
+        from repro.inference.analytic import UnsupportedScenario
+        from repro.inference.sweep import evaluate_cluster
+
+        with pytest.raises(UnsupportedScenario, match="use mode=des"):
+            evaluate_cluster(*_scenario("out"), "analytic", num_engines=1,
+                             max_batch_size=16)
+
+    def test_auto_out_of_envelope_falls_back_to_des(self):
+        from repro.inference.analytic import (
+            UnsupportedScenario,
+            analytic_cluster_report,
+        )
+        from repro.inference.sweep import evaluate_cluster
+
+        accelerator, model, requests = _scenario("out")
+        with pytest.raises(UnsupportedScenario) as refusal:
+            analytic_cluster_report(accelerator, model, requests,
+                                    num_engines=1, max_batch_size=16)
+        report, evaluated, declined = evaluate_cluster(
+            accelerator, model, requests, "auto",
+            num_engines=1, max_batch_size=16,
+        )
+        assert evaluated == "des"
+        assert declined == str(refusal.value)
+        assert report.requests_completed == len(requests)
+
+    def test_unknown_mode_names_the_known_modes(self):
+        from repro.inference.sweep import SERVE_MODES, evaluate_cluster
+
+        with pytest.raises(ValueError, match="quantum") as error:
+            evaluate_cluster(*_scenario("in"), "quantum", num_engines=1,
+                             max_batch_size=16)
+        for mode in SERVE_MODES:
+            assert mode in str(error.value)
 
 
 class TestChaosCommand:
